@@ -24,7 +24,7 @@ fn bench_krr(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_ridge");
     for n in [20, 100, 300] {
         let (x, y) = dataset(n, 4, 1);
-        group.bench_function(format!("fit_n{n}"), |b| {
+        group.bench_function(&format!("fit_n{n}"), |b| {
             b.iter(|| {
                 let mut m = KernelRidge::rbf(1.0, 0.1);
                 m.fit(black_box(&x), black_box(&y)).unwrap();
@@ -33,7 +33,7 @@ fn bench_krr(c: &mut Criterion) {
         });
         let mut m = KernelRidge::rbf(1.0, 0.1);
         m.fit(&x, &y).unwrap();
-        group.bench_function(format!("predict_n{n}"), |b| {
+        group.bench_function(&format!("predict_n{n}"), |b| {
             b.iter(|| m.predict(black_box(&[0.1, 0.2, 0.3, 0.4])))
         });
     }
@@ -44,7 +44,7 @@ fn bench_gp(c: &mut Criterion) {
     let mut group = c.benchmark_group("gaussian_process");
     for n in [50, 200] {
         let (x, y) = dataset(n, 4, 2);
-        group.bench_function(format!("fit_n{n}"), |b| {
+        group.bench_function(&format!("fit_n{n}"), |b| {
             b.iter(|| {
                 let mut gp = GaussianProcess::default_bo();
                 gp.fit(black_box(&x), black_box(&y)).unwrap();
@@ -53,7 +53,7 @@ fn bench_gp(c: &mut Criterion) {
         });
         let mut gp = GaussianProcess::default_bo();
         gp.fit(&x, &y).unwrap();
-        group.bench_function(format!("posterior_n{n}"), |b| {
+        group.bench_function(&format!("posterior_n{n}"), |b| {
             b.iter(|| gp.posterior(black_box(&[0.1, 0.2, 0.3, 0.4])))
         });
     }

@@ -8,7 +8,7 @@
 //! function of the configured seed (lane seeds come from
 //! `rockpool::split_seed`, the same discipline as the evaluation pool), and
 //! the served suggestions are a pure function of request content (the
-//! server's coalescing contract). The cross-run `suggest_fingerprint`
+//! server's memo contract). The cross-run `suggest_fingerprint`
 //! therefore must match between two runs at the same seed regardless of
 //! thread interleaving — that is the determinism gate.
 
@@ -34,8 +34,8 @@ pub const SERVE_SCHEMA: &str = "rockhopper-bench-serve/v4";
 pub const SERVE_DEFAULT_OUT: &str = "BENCH_serve.json";
 
 /// Reports carry signatures in a disjoint band from suggests, so ingesting a
-/// report never invalidates a suggest's coalescing slot: every suggest key is
-/// evaluated exactly once per server lifetime and the fingerprint is stable.
+/// report never invalidates a suggest's memo entry: every suggest key is
+/// evaluated exactly once and the fingerprint is stable.
 const REPORT_SIG_BASE: u64 = 1_000_000;
 
 /// Load-generator shape. Both presets drive well over 64 concurrent mixed
@@ -351,7 +351,7 @@ fn draw_shot(rng: &mut StdRng, suggest_signatures: u64, zipf: Option<&Zipf>) -> 
 }
 
 /// The tuning context every lane uses for signature `sig` — identical content
-/// so concurrent lanes coalesce onto one backend evaluation.
+/// so concurrent lanes share one backend evaluation.
 fn ctx_for(sig: u64) -> optimizers::TuningContext {
     optimizers::TuningContext {
         embedding: vec![0.2 + (sig % 7) as f64 * 0.1, 0.5],
@@ -819,10 +819,9 @@ fn merge_snapshots(
 ///
 /// The merged report's `suggest_fingerprint` folds both lifetimes' points in
 /// the uninterrupted (lane, request) order, so it must equal the fingerprint
-/// of an unsplit [`run_serve_bench`] at the same seed: recovery replays the
-/// WAL through the normal code paths, prepopulates the coalescing cache from
-/// the replayed operations, and checkpointed tuner RNG streams continue
-/// bit-identically. A torn tail can only drop a suffix of *logged-but-lost*
+/// of an unsplit [`run_serve_bench`] at the same seed: recovery restores the
+/// snapshot (suggestion memo included), replays the WAL through the normal
+/// code paths, and checkpointed tuner RNG streams continue bit-identically. A torn tail can only drop a suffix of *logged-but-lost*
 /// operations, and each of those re-derives the identical point on the next
 /// request for its signature — so the gate holds under fault injection too.
 ///

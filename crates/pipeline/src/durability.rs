@@ -99,8 +99,8 @@ pub(crate) struct EmbeddingEntry {
 ///
 /// The WAL's `Suggest` records replay to bit-identical points, but records
 /// *compacted into a snapshot* are pruned — so the snapshot itself must
-/// carry what was served, or a restarted serving layer would re-evaluate
-/// those keys on tuners that have already advanced past them.
+/// carry what was served, or a restarted shard would re-evaluate those keys
+/// on tuners that have already advanced past them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct ServedEntry {
     /// Tenant.
@@ -157,44 +157,13 @@ pub(crate) struct BackendSnapshot {
     pub(crate) embeddings: Vec<EmbeddingEntry>,
     /// Per-`(user, signature)` degradation trackers, sorted by key.
     pub(crate) degraded: Vec<DegradedEntry>,
-    /// Live served suggestions (not yet invalidated by a report), sorted by
-    /// `(user, signature, ctx)` — the serving layer rebuilds its coalescing
-    /// cache from these plus the replayed tail.
+    /// The shard's suggestion memo (entries not yet invalidated by a
+    /// report), in signature order; replay of the tail updates it further.
     pub(crate) served: Vec<ServedEntry>,
     /// The app-level configuration cache (already a sorted map).
     pub(crate) app_cache: AppCache,
     /// Monitoring state, counters included.
     pub(crate) dashboard: Dashboard,
-}
-
-/// One replayed operation, in WAL order — the serving layer uses this to
-/// rebuild its coalescing cache exactly as the request stream left it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayedOp {
-    /// A suggestion was replayed; `point` is the (bit-identical) re-derived
-    /// configuration.
-    Suggest {
-        /// Tenant.
-        user: String,
-        /// Query signature.
-        signature: u64,
-        /// Context the suggestion was computed under.
-        ctx: TuningContext,
-        /// The configuration the replayed tuner produced.
-        point: Vec<f64>,
-        /// Whether the point was transferred from the retrieval corpus or
-        /// explored by the tuner — replayed so a rebuilt coalescing cache
-        /// answers with the same provenance tag the live server did.
-        provenance: Provenance,
-    },
-    /// A report was replayed; any cached suggestion for these signatures is
-    /// stale, exactly as it would have been invalidated live.
-    Invalidate {
-        /// Tenant.
-        user: String,
-        /// Signatures the report mentioned (sorted, deduplicated).
-        signatures: Vec<u64>,
-    },
 }
 
 /// What a [`crate::AutotuneBackend::recover_from`] call found and did.
@@ -210,8 +179,6 @@ pub struct RecoveryReport {
     pub quarantined_bytes: u64,
     /// Whether a usable compacted snapshot was restored.
     pub restored_snapshot: bool,
-    /// Replayed operations in WAL order, for serving-layer cache rebuild.
-    pub ops: Vec<ReplayedOp>,
 }
 
 /// Subdirectory of the WAL directory holding evicted-tuner sidecars.
@@ -454,9 +421,7 @@ impl Durability {
 }
 
 /// Extract the sorted, deduplicated query signatures a report's events
-/// mention. Both the serving layer's live invalidation and the replayed
-/// [`ReplayedOp::Invalidate`] use this one definition, so a recovered
-/// coalescing cache drops exactly the entries the live server would have.
+/// mention: the memo entries a report invalidates.
 pub fn report_signatures(events: &[sparksim::event::SparkEvent]) -> Vec<u64> {
     use sparksim::event::SparkEvent;
     let mut sigs: Vec<u64> = events

@@ -19,6 +19,8 @@
 //!   each a full backend on its own worker thread with a split seed stream and
 //!   a memory-bounded LRU over per-signature state (DESIGN.md §11).
 //! - [`lru`] — the deterministic bounded LRU map the shards build on.
+//! - [`memo`] — each shard's served-suggestion memo: its backend writes it,
+//!   serving workers read hits from it, and durability persists it.
 //!
 //! Cold-start serving (DESIGN.md §12) plugs a `rockindex` retrieval index into
 //! the backend: a cold Suggest with no tuner state consults the warm-signature
@@ -29,15 +31,17 @@ pub mod durability;
 pub mod etl;
 pub mod flighting;
 pub mod lru;
+pub mod memo;
 pub mod monitor;
 pub mod service;
 pub mod sharding;
 pub mod storage;
 pub mod trainer;
 
-pub use durability::{report_signatures, RecoveryReport, ReplayedOp};
+pub use durability::{report_signatures, RecoveryReport};
 pub use etl::TrainingRow;
 pub use lru::LruMap;
+pub use memo::{Served, SuggestMemo};
 pub use monitor::DashboardCounters;
 pub use rockindex::{Corpus, CorpusEntry, KnnIndex, Provenance, TransferPolicy};
 pub use service::{AutotuneBackend, AutotuneClient, AutotuneService, SuggestFallback};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use optimizers::space::ConfigSpace;
 use optimizers::tuner::{Outcome, Tuner, TuningContext};
@@ -24,11 +24,12 @@ use rockindex::{CorpusEntry, KnnIndex, Provenance, TransferPolicy};
 use sparksim::event::SparkEvent;
 
 use crate::durability::{
-    self, BackendSnapshot, DegradedEntry, Durability, EmbeddingEntry, RecoveryReport, ReplayedOp,
-    ServedEntry, TunerEntry, WalEvent,
+    self, BackendSnapshot, DegradedEntry, Durability, EmbeddingEntry, RecoveryReport, TunerEntry,
+    WalEvent,
 };
 use crate::etl::{extract_batch, EtlBatch};
 use crate::lru::LruMap;
+use crate::memo::{Served, SuggestMemo};
 use crate::monitor::{Dashboard, DashboardCounters};
 use crate::storage::{paths, Storage};
 use crate::PipelineError;
@@ -67,11 +68,6 @@ const MAX_TRACKED_TUNERS: usize = 4096;
 const MAX_TRACKED_EMBEDDINGS: usize = 8192;
 const MAX_TRACKED_DEGRADED: usize = 8192;
 
-/// Cap on the served-suggestion memo carried in snapshots. On overflow new
-/// keys are simply not memoized (deterministic; never an eviction) — a
-/// restarted serving layer re-evaluates those keys instead of cache-hitting.
-const MAX_SERVED_MEMO: usize = 8192;
-
 /// The backend: storage, per-(user, signature) tuners, baseline model, app cache.
 pub struct AutotuneBackend {
     storage: Arc<Storage>,
@@ -99,11 +95,10 @@ pub struct AutotuneBackend {
     ingest_retries: u64,
     /// Durable-state handle (WAL + snapshot cadence); `None` = in-memory only.
     durability: Option<Durability>,
-    /// Served suggestions not yet invalidated by a report, keyed by
-    /// `(user, signature, ctx-json)` — maintained only under durability, and
-    /// carried in every snapshot so a restarted serving layer can rebuild
-    /// its coalescing cache for operations the snapshot compacted away.
-    served: HashMap<(String, u64, String), (TuningContext, Vec<f64>, Provenance)>,
+    /// Suggestions served and not yet invalidated by a report (DESIGN.md
+    /// §10). This backend is its only writer; serving workers read hits
+    /// through [`AutotuneClient::memo_hit`].
+    memo: SuggestMemo,
     /// Zero-execution retrieval (DESIGN.md §12): a shared k-NN index over
     /// the transfer corpus plus the policy gating transfers. `None` =
     /// retrieval off (every cold suggest explores). Shared by `Arc` across
@@ -135,7 +130,7 @@ impl AutotuneBackend {
             probe_period: 4,
             ingest_retries: 0,
             durability: None,
-            served: HashMap::new(),
+            memo: SuggestMemo::default(),
             retrieval: None,
             seed,
             shard_id: 0,
@@ -253,6 +248,9 @@ impl AutotuneBackend {
     /// from: [`Provenance::Transferred`] for a zero-execution corpus hit,
     /// [`Provenance::Explored`] for a normal tuner draw (and for degraded
     /// defaults). The tag rides the wire protocol and the serving metrics.
+    ///
+    /// Every call evaluates; the answer is also written to the memo, which
+    /// only the service loop ([`AutotuneService`]) consults.
     pub fn suggest_tagged(
         &mut self,
         user: &str,
@@ -267,12 +265,27 @@ impl AutotuneBackend {
             ctx: ctx.clone(),
         });
         let (point, provenance) = self.suggest_point(user, signature, ctx);
-        self.memo_served(user, signature, ctx, &point, provenance);
+        self.memo.insert(user, signature, ctx, &point, provenance);
         (point, provenance)
     }
 
+    /// Serve a suggestion: the memo's answer if the key has one (no WAL
+    /// record, no tuner step), else a fresh [`AutotuneBackend::suggest_tagged`].
+    fn serve(&mut self, user: &str, signature: u64, ctx: &TuningContext) -> Served {
+        if let Some(hit) = self.memo.hit(user, signature, ctx) {
+            return hit;
+        }
+        let (point, provenance) = self.suggest_tagged(user, signature, ctx);
+        Served {
+            point,
+            provenance,
+            hit: false,
+            batch: 1,
+        }
+    }
+
     /// The tuning logic behind [`AutotuneBackend::suggest`], after the WAL
-    /// append and before the served-memo update.
+    /// append and before the memo update.
     fn suggest_point(
         &mut self,
         user: &str,
@@ -347,43 +360,6 @@ impl AutotuneBackend {
                 None
             }
         }
-    }
-
-    /// Remember a served suggestion for the snapshot's served-memo. Only
-    /// durable backends pay for this: the memo exists so a *restarted*
-    /// serving layer can rebuild its coalescing cache, and an in-memory
-    /// backend has no restarts to survive.
-    fn memo_served(
-        &mut self,
-        user: &str,
-        signature: u64,
-        ctx: &TuningContext,
-        point: &[f64],
-        provenance: Provenance,
-    ) {
-        if self.durability.is_none() {
-            return;
-        }
-        let Ok(ctx_key) = serde_json::to_string(ctx) else {
-            return;
-        };
-        let key = (user.to_string(), signature, ctx_key);
-        if self.served.len() >= MAX_SERVED_MEMO && !self.served.contains_key(&key) {
-            return;
-        }
-        self.served
-            .insert(key, (ctx.clone(), point.to_vec(), provenance));
-    }
-
-    /// Drop memo entries a report's signatures make stale — the same rule
-    /// the serving layer applies to its live coalescing cache
-    /// ([`durability::report_signatures`] is the shared definition).
-    fn invalidate_served(&mut self, user: &str, signatures: &[u64]) {
-        if self.durability.is_none() || signatures.is_empty() {
-            return;
-        }
-        self.served
-            .retain(|k, _| !(k.0 == user && signatures.binary_search(&k.1).is_ok()));
     }
 
     fn tuner_for(&mut self, user: &str, signature: u64) -> &mut RockhopperTuner {
@@ -486,7 +462,8 @@ impl AutotuneBackend {
             app_id: app_id.to_string(),
             doc: doc.clone(),
         });
-        self.invalidate_served(user, &durability::report_signatures(events));
+        self.memo
+            .invalidate(user, &durability::report_signatures(events));
         self.persist_events(app_id, doc.into_bytes());
         self.storage.tick();
         self.dashboard.ingest(events);
@@ -505,7 +482,8 @@ impl AutotuneBackend {
         self.persist_events(app_id, doc.as_bytes().to_vec());
         self.storage.tick();
         let (events, quarantined) = sparksim::event::from_jsonl_lossy(doc);
-        self.invalidate_served(user, &durability::report_signatures(&events));
+        self.memo
+            .invalidate(user, &durability::report_signatures(&events));
         self.dashboard.ingest(&events);
         let mut batch = extract_batch(&events);
         batch.quarantined_lines = quarantined;
@@ -1020,19 +998,6 @@ impl AutotuneBackend {
                 .map(|s| s.shard_id == self.shard_id && s.shard_count == self.shard_count);
             match decoded.filter(|_| lineage_ok == Some(true)) {
                 Some(s) => {
-                    // The snapshot's served-memo stands in for the suggest
-                    // records it compacted away: without these ops the
-                    // serving layer would re-evaluate those keys on tuners
-                    // that have already advanced past them.
-                    for e in &s.served {
-                        report.ops.push(ReplayedOp::Suggest {
-                            user: e.user.clone(),
-                            signature: e.signature,
-                            ctx: e.ctx.clone(),
-                            point: e.point.clone(),
-                            provenance: e.provenance,
-                        });
-                    }
                     self.apply_snapshot(s);
                     report.restored_snapshot = true;
                 }
@@ -1071,7 +1036,7 @@ impl AutotuneBackend {
                     if let Some(d) = self.durability.as_mut() {
                         d.replay_seq = Some(seq);
                     }
-                    self.replay_event(event, &mut report);
+                    self.replay_event(event);
                     report.replayed = report.replayed.saturating_add(1);
                 }
                 None => {
@@ -1149,30 +1114,19 @@ impl AutotuneBackend {
     }
 
     /// Re-apply one replayed WAL event through the normal mutation paths
-    /// (the `replaying` guard keeps them from re-logging).
-    fn replay_event(&mut self, event: WalEvent, report: &mut RecoveryReport) {
+    /// (the `replaying` guard keeps them from re-logging), which also refill
+    /// and invalidate the memo in WAL order.
+    fn replay_event(&mut self, event: WalEvent) {
         match event {
             WalEvent::Suggest {
                 user,
                 signature,
                 ctx,
             } => {
-                let (point, provenance) = self.suggest_tagged(&user, signature, &ctx);
-                report.ops.push(ReplayedOp::Suggest {
-                    user,
-                    signature,
-                    ctx,
-                    point,
-                    provenance,
-                });
+                let _ = self.suggest_tagged(&user, signature, &ctx);
             }
             WalEvent::IngestJsonl { user, app_id, doc } => {
-                let (events, _) = sparksim::event::from_jsonl_lossy(&doc);
-                let signatures = durability::report_signatures(&events);
                 self.ingest_jsonl(&user, &app_id, &doc);
-                if !signatures.is_empty() {
-                    report.ops.push(ReplayedOp::Invalidate { user, signatures });
-                }
             }
             WalEvent::UpdateAppCache {
                 user,
@@ -1229,22 +1183,6 @@ impl AutotuneBackend {
             })
             .collect();
         degraded.sort_by(|a, b| (&a.user, a.signature).cmp(&(&b.user, b.signature)));
-        let mut served_keys: Vec<&(String, u64, String)> = self.served.keys().collect();
-        served_keys.sort();
-        let served: Vec<ServedEntry> = served_keys
-            .into_iter()
-            .filter_map(|k| {
-                self.served
-                    .get(k)
-                    .map(|(ctx, point, provenance)| ServedEntry {
-                        user: k.0.clone(),
-                        signature: k.1,
-                        ctx: ctx.clone(),
-                        point: point.clone(),
-                        provenance: *provenance,
-                    })
-            })
-            .collect();
         BackendSnapshot {
             seed: self.seed,
             shard_id: self.shard_id,
@@ -1253,7 +1191,7 @@ impl AutotuneBackend {
             tuners,
             embeddings,
             degraded,
-            served,
+            served: self.memo.entries(),
             app_cache: self.app_cache.clone(),
             dashboard: self.dashboard.clone(),
         }
@@ -1300,16 +1238,7 @@ impl AutotuneBackend {
                 )
             })
             .collect();
-        self.served.clear();
-        for e in snap.served.into_iter().take(MAX_SERVED_MEMO) {
-            let Ok(ctx_key) = serde_json::to_string(&e.ctx) else {
-                continue;
-            };
-            self.served.insert(
-                (e.user, e.signature, ctx_key),
-                (e.ctx, e.point, e.provenance),
-            );
-        }
+        self.memo.restore(snap.served);
     }
 }
 
@@ -1361,7 +1290,7 @@ enum Request {
         user: String,
         signature: u64,
         ctx: TuningContext,
-        reply: Sender<(Vec<f64>, Provenance)>,
+        reply: Sender<Served>,
     },
     Ingest {
         user: String,
@@ -1372,6 +1301,8 @@ enum Request {
         user: String,
         app_id: String,
         doc: String,
+        /// Signalled once the document has been applied.
+        applied: Sender<()>,
     },
     Counters {
         reply: Sender<DashboardCounters>,
@@ -1397,8 +1328,11 @@ pub struct AutotuneService {
 
 impl AutotuneService {
     /// Spawn the backend thread; returns the service handle and a client.
+    /// A Suggest is answered from the memo when its key has an entry, so
+    /// concurrent duplicates share the first one's evaluation.
     pub fn spawn(mut backend: AutotuneBackend) -> (AutotuneService, AutotuneClient) {
         let (tx, rx) = unbounded::<Request>();
+        let memo = backend.memo.clone();
         let handle = std::thread::spawn(move || {
             while let Ok(req) = rx.recv() {
                 match req {
@@ -1408,16 +1342,21 @@ impl AutotuneService {
                         ctx,
                         reply,
                     } => {
-                        let tagged = backend.suggest_tagged(&user, signature, &ctx);
-                        let _ = reply.send(tagged);
+                        let _ = reply.send(backend.serve(&user, signature, &ctx));
                     }
                     Request::Ingest {
                         user,
                         app_id,
                         events,
                     } => backend.ingest(&user, &app_id, &events),
-                    Request::IngestJsonl { user, app_id, doc } => {
+                    Request::IngestJsonl {
+                        user,
+                        app_id,
+                        doc,
+                        applied,
+                    } => {
                         backend.ingest_jsonl(&user, &app_id, &doc);
+                        let _ = applied.send(());
                     }
                     Request::Counters { reply } => {
                         let _ = reply.send(backend.dashboard().counters());
@@ -1441,7 +1380,7 @@ impl AutotuneService {
                 tx: tx.clone(),
                 handle: Some(handle),
             },
-            AutotuneClient { tx },
+            AutotuneClient { tx, memo },
         )
     }
 
@@ -1489,6 +1428,8 @@ impl std::fmt::Display for SuggestFallback {
 #[derive(Clone)]
 pub struct AutotuneClient {
     tx: Sender<Request>,
+    /// A read handle on the backend's memo.
+    memo: SuggestMemo,
 }
 
 impl AutotuneClient {
@@ -1504,20 +1445,19 @@ impl AutotuneClient {
         ctx: &TuningContext,
         timeout: Duration,
     ) -> Result<Vec<f64>, SuggestFallback> {
-        self.suggest_tagged(user, signature, ctx, timeout)
-            .map(|(point, _)| point)
+        self.serve(user, signature, ctx, timeout).map(|s| s.point)
     }
 
-    /// As [`AutotuneClient::suggest`], also returning the provenance tag —
-    /// whether the point was [`Provenance::Transferred`] from the retrieval
-    /// corpus or [`Provenance::Explored`] by the tuner's own loop.
-    pub fn suggest_tagged(
+    /// As [`AutotuneClient::suggest`], returning the whole [`Served`]
+    /// answer: provenance, whether the memo answered, and the entry's hit
+    /// count.
+    pub fn serve(
         &self,
         user: &str,
         signature: u64,
         ctx: &TuningContext,
         timeout: Duration,
-    ) -> Result<(Vec<f64>, Provenance), SuggestFallback> {
+    ) -> Result<Served, SuggestFallback> {
         let (reply_tx, reply_rx) = unbounded();
         if self
             .tx
@@ -1532,10 +1472,16 @@ impl AutotuneClient {
             return Err(SuggestFallback::BackendDown);
         }
         match reply_rx.recv_timeout(timeout) {
-            Ok(tagged) => Ok(tagged),
+            Ok(served) => Ok(served),
             Err(RecvTimeoutError::Disconnected) => Err(SuggestFallback::BackendDown),
             Err(RecvTimeoutError::Timeout) => Err(SuggestFallback::TimedOut),
         }
+    }
+
+    /// The backend memo's answer for this key, read on the calling thread
+    /// without a round trip; `None` on a miss.
+    pub fn memo_hit(&self, user: &str, signature: u64, ctx: &TuningContext) -> Option<Served> {
+        self.memo.hit(user, signature, ctx)
     }
 
     /// As [`AutotuneClient::suggest`], degrading to the space's default
@@ -1549,25 +1495,9 @@ impl AutotuneClient {
         timeout: Duration,
         space: &ConfigSpace,
     ) -> (Vec<f64>, Option<SuggestFallback>) {
-        let (point, _, fallback) =
-            self.suggest_or_default_tagged(user, signature, ctx, timeout, space);
-        (point, fallback)
-    }
-
-    /// As [`AutotuneClient::suggest_or_default`], also returning the
-    /// provenance tag. A fallback default point is always
-    /// [`Provenance::Explored`] — nothing was transferred.
-    pub fn suggest_or_default_tagged(
-        &self,
-        user: &str,
-        signature: u64,
-        ctx: &TuningContext,
-        timeout: Duration,
-        space: &ConfigSpace,
-    ) -> (Vec<f64>, Provenance, Option<SuggestFallback>) {
-        match self.suggest_tagged(user, signature, ctx, timeout) {
-            Ok((point, provenance)) => (point, provenance, None),
-            Err(why) => (space.default_point(), Provenance::Explored, Some(why)),
+        match self.suggest(user, signature, ctx, timeout) {
+            Ok(point) => (point, None),
+            Err(why) => (space.default_point(), Some(why)),
         }
     }
 
@@ -1581,16 +1511,33 @@ impl AutotuneClient {
         });
     }
 
-    /// Ship a raw JSON-lines event document to the backend (fire-and-forget) —
-    /// the wire-ingest path used by `rockserve`'s `Report` frame. Corrupt or
-    /// truncated lines are quarantined backend-side instead of poisoning the
-    /// document.
-    pub fn report_jsonl(&self, user: &str, app_id: &str, doc: String) {
-        let _ = self.tx.send(Request::IngestJsonl {
-            user: user.to_string(),
-            app_id: app_id.to_string(),
-            doc,
-        });
+    /// Ship a raw JSON-lines event document to the backend and wait, never
+    /// longer than `timeout`, until it has been applied — the wire-ingest
+    /// path used by `rockserve`'s `Report` frame. Corrupt or truncated lines
+    /// are quarantined backend-side instead of poisoning the document.
+    /// `false` when the backend is gone or did not apply it in time.
+    pub fn report_jsonl(&self, user: &str, app_id: &str, doc: String, timeout: Duration) -> bool {
+        self.send_report(user, app_id, doc)
+            .is_some_and(|applied| applied.recv_timeout(timeout).is_ok())
+    }
+
+    /// Queue a JSON-lines document; the receiver fires once it is applied.
+    pub(crate) fn send_report(
+        &self,
+        user: &str,
+        app_id: &str,
+        doc: String,
+    ) -> Option<Receiver<()>> {
+        let (applied, rx) = unbounded();
+        self.tx
+            .send(Request::IngestJsonl {
+                user: user.to_string(),
+                app_id: app_id.to_string(),
+                doc,
+                applied,
+            })
+            .ok()?;
+        Some(rx)
     }
 
     /// Snapshot the backend's dashboard counters (blocks for the reply, never
@@ -1866,9 +1813,7 @@ mod tests {
         );
         let mut doc = sparksim::event::to_jsonl(&events);
         doc.push_str("{\"mangled\": tru\n");
-        client.report_jsonl("alice", "app-0", doc);
-        // The ingest is fire-and-forget, but Counters queues *behind* it on the
-        // same channel, so the reply reflects the processed document.
+        assert!(client.report_jsonl("alice", "app-0", doc, Duration::from_secs(10)));
         let snap = client
             .dashboard_counters(Duration::from_secs(10))
             .expect("backend alive");
@@ -2067,7 +2012,10 @@ mod tests {
     fn client_times_out_against_a_wedged_backend() {
         // A channel nobody services: the send succeeds, the reply never comes.
         let (tx, _rx) = unbounded::<Request>();
-        let client = AutotuneClient { tx };
+        let client = AutotuneClient {
+            tx,
+            memo: SuggestMemo::default(),
+        };
         let ctx = QueryEnv::tpch(6, 0.1, NoiseSpec::none(), 1).context();
         assert_eq!(
             client.suggest("u", 1, &ctx, Duration::from_millis(20)),
@@ -2197,11 +2145,6 @@ mod tests {
             recovered.app_conf("artifact-x"),
             reference.app_conf("artifact-x")
         );
-        // Replayed suggests re-derived the original points bit-exactly.
-        assert!(report
-            .ops
-            .iter()
-            .any(|op| matches!(op, ReplayedOp::Suggest { .. })));
         // The decisive check: both backends continue the *same* stream.
         let ctx = ref_env.context();
         for i in 0..10 {
@@ -2249,6 +2192,35 @@ mod tests {
                 from_log.suggest("alice", sig, &ctx),
                 "snapshot+tail and pure-log recovery must agree bit-exactly"
             );
+        }
+    }
+
+    #[test]
+    fn recovery_refills_the_memo_from_snapshot_and_wal_order() {
+        let dir = StateDir::new("memo");
+        let mut durable = backend();
+        durable.persist_to_with(&dir.0, 3).expect("attach");
+        let ctx = QueryEnv::tpch(6, 0.1, NoiseSpec::none(), 7).context();
+        let served: Vec<Vec<f64>> = (0..6u64)
+            .map(|sig| durable.suggest("alice", sig, &ctx))
+            .collect();
+        // The report is the last record, after the newest snapshot: replay
+        // must drop signature 0's entry that the snapshot still carries.
+        let conf = SparkConf::default();
+        durable.ingest("alice", "app-0", &[start_event("app-0", 0, conf)]);
+        durable.flush_durability().expect("flush");
+        drop(durable);
+
+        let mut recovered = backend();
+        let report = recovered.recover_from_with(&dir.0, 3).expect("recover");
+        assert!(report.restored_snapshot, "cadence 3 must have compacted");
+        assert_eq!(recovered.memo.hit("alice", 0, &ctx), None);
+        for (sig, point) in served.iter().enumerate().skip(1) {
+            let hit = recovered
+                .memo
+                .hit("alice", sig as u64, &ctx)
+                .expect("an answered key survives recovery");
+            assert_eq!(&hit.point, point, "signature {sig}");
         }
     }
 

@@ -20,7 +20,6 @@ use std::time::Duration;
 
 use optimizers::space::ConfigSpace;
 use optimizers::tuner::TuningContext;
-use rockindex::Provenance;
 use sparksim::event::SparkEvent;
 
 use crate::monitor::DashboardCounters;
@@ -132,20 +131,6 @@ impl ShardedAutotuneClient {
             .suggest(user, signature, ctx, timeout)
     }
 
-    /// As [`ShardedAutotuneClient::suggest`], also returning the provenance
-    /// tag from the owning shard.
-    pub fn suggest_tagged(
-        &self,
-        user: &str,
-        signature: u64,
-        ctx: &TuningContext,
-        timeout: Duration,
-    ) -> Result<(Vec<f64>, Provenance), SuggestFallback> {
-        self.client_for(signature)
-            .ok_or(SuggestFallback::BackendDown)?
-            .suggest_tagged(user, signature, ctx, timeout)
-    }
-
     /// As [`ShardedAutotuneClient::suggest`], degrading to the default point
     /// when the owning shard is dead or wedged.
     pub fn suggest_or_default(
@@ -159,27 +144,6 @@ impl ShardedAutotuneClient {
         match self.client_for(signature) {
             Some(client) => client.suggest_or_default(user, signature, ctx, timeout, space),
             None => (space.default_point(), Some(SuggestFallback::BackendDown)),
-        }
-    }
-
-    /// As [`ShardedAutotuneClient::suggest_or_default`], also returning the
-    /// provenance tag (a fallback default point is always
-    /// [`Provenance::Explored`]).
-    pub fn suggest_or_default_tagged(
-        &self,
-        user: &str,
-        signature: u64,
-        ctx: &TuningContext,
-        timeout: Duration,
-        space: &ConfigSpace,
-    ) -> (Vec<f64>, Provenance, Option<SuggestFallback>) {
-        match self.client_for(signature) {
-            Some(client) => client.suggest_or_default_tagged(user, signature, ctx, timeout, space),
-            None => (
-                space.default_point(),
-                Provenance::Explored,
-                Some(SuggestFallback::BackendDown),
-            ),
         }
     }
 
@@ -212,20 +176,28 @@ impl ShardedAutotuneClient {
     /// unparseable lines go to shard 0 (which quarantines and counts the
     /// latter, keeping the fleet-wide quarantine tally exact). With one shard
     /// the document is forwarded verbatim, byte-identical to the unsharded
-    /// wire path.
-    pub fn report_jsonl(&self, user: &str, app_id: &str, doc: String) {
+    /// wire path. Every touched shard applies its slice concurrently; the
+    /// call then waits for each, at most `timeout` apiece, and returns
+    /// whether all of them applied it.
+    pub fn report_jsonl(&self, user: &str, app_id: &str, doc: String, timeout: Duration) -> bool {
         let shards = self.clients.len();
-        if shards == 1 {
-            if let Some(client) = self.clients.first() {
-                client.report_jsonl(user, app_id, doc);
-            }
-            return;
-        }
-        for (shard, slice) in partition_report(&doc, shards).into_iter().enumerate() {
-            if !slice.is_empty() {
-                self.clients[shard].report_jsonl(user, app_id, slice);
-            }
-        }
+        let slices = if shards == 1 {
+            vec![doc]
+        } else {
+            partition_report(&doc, shards)
+        };
+        let pending: Vec<_> = self
+            .clients
+            .iter()
+            .zip(slices)
+            .filter(|(_, slice)| shards == 1 || !slice.is_empty())
+            .map(|(client, slice)| client.send_report(user, app_id, slice))
+            .collect();
+        // Non-short-circuit `&`: one shard timing out must not skip the wait
+        // on the others.
+        pending.into_iter().fold(true, |all, applied| {
+            all & applied.is_some_and(|rx| rx.recv_timeout(timeout).is_ok())
+        })
     }
 
     /// Merge dashboard counters across every shard. `None` when any shard is

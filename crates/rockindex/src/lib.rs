@@ -8,7 +8,7 @@
 //! with zero runs, then hands off to the normal CL/BO loop once real
 //! observations arrive (Rover-style safe transfer, arXiv:2302.04046).
 //!
-//! Three cooperating pieces:
+//! Two cooperating pieces:
 //!
 //! * [`corpus`] — the persisted corpus: one [`corpus::CorpusEntry`] per warm
 //!   signature (embedding, best-observed config, observation count, cost
@@ -20,20 +20,15 @@
 //!   (`f64::total_cmp`), then ascending signature. No RNG, no wall clock,
 //!   no hash-ordered iteration — the same corpus and query always rank the
 //!   same neighbors, on any shard, at any thread count.
-//! * [`drift`] — a concept-drift detector: when a signature's live embedding
-//!   moves (mid-stream data-scale shift), the cached neighbor set is invalid
-//!   and the caller must re-rank against the index.
 //!
 //! [`Provenance`] tags every served suggestion as `transferred` (corpus hit,
 //! zero-execution) or `explored` (normal tuner draw) on the wire protocol
 //! and in the serving metrics.
 
 pub mod corpus;
-pub mod drift;
 pub mod knn;
 pub mod provenance;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusRecovery, MAX_CORPUS_ENTRIES};
-pub use drift::{DriftDetector, DriftSignal};
 pub use knn::{KnnIndex, Neighbor, TransferPolicy};
 pub use provenance::Provenance;

@@ -8,9 +8,9 @@
 //!   explicit error replies for truncated, oversized, malformed, and
 //!   wrong-version frames — never a panic, never a hang.
 //! - [`server`]: a blocking acceptor feeding a fixed-width worker pool
-//!   (width from `RH_THREADS`, like the evaluation pool), with
-//!   content-keyed request coalescing (concurrent identical `Suggest`s
-//!   share one backend evaluation), bounded admission gates that answer
+//!   (width from `RH_THREADS`, like the evaluation pool) that answers hits
+//!   in each shard's suggestion memo itself (concurrent identical
+//!   `Suggest`s share one backend evaluation), bounded admission gates that answer
 //!   `Overloaded` instead of buffering without bound, and a
 //!   drain-then-shutdown lifecycle that joins every thread and hands the
 //!   [`pipeline::AutotuneBackend`] back.

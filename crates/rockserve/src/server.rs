@@ -1,39 +1,35 @@
 //! The serving edge: a TCP listener feeding a fixed-width worker pool, with
-//! per-workload-signature request coalescing, admission control, and a
-//! drain-then-shutdown lifecycle wired to the pipeline's `Drop`-join contract.
+//! admission control and a drain-then-shutdown lifecycle wired to the
+//! pipeline's `Drop`-join contract.
 //!
 //! ## Sharding
 //!
 //! The backend is split into `ServeConfig::shards` signature-hash shards
 //! (`pipeline::shard_of`), each a full `AutotuneBackend` on its own worker
-//! thread with its own coalescer, admission gate, memory-bounded tuner LRU,
-//! and — when durable — its own WAL/snapshot lineage under
+//! thread with its own suggestion memo, admission gate, memory-bounded tuner
+//! LRU, and — when durable — its own WAL/snapshot lineage under
 //! [`shard_state_dir`]. Because routing is a pure function of the signature
 //! and tuner seeds derive from `(root_seed, signature)` alone, the served
 //! points are bit-identical at any shard count (DESIGN.md §11).
 //!
 //! ## Determinism under concurrency
 //!
-//! The backend's tuner state advances on every evaluation, so a naive server
-//! would make the served point depend on request arrival order. rockserve
-//! instead memoizes each suggestion under its full request content
-//! (`(user, signature, context bytes)`): the first request for a key runs one
-//! backend evaluation, concurrent duplicates join it in flight, and later
-//! duplicates hit the cached entry. A `Report` for a signature invalidates
-//! that tenant's cached suggestions (new observations should move the tuner),
-//! so the served point is a pure function of the request history content —
-//! never of socket timing or worker interleaving. The worker-pool width
-//! follows `rockpool::configured_threads()` (`RH_THREADS`), and by the above
-//! the served answers are bit-identical at any width.
+//! Each shard's backend memoizes every suggestion under its full request
+//! content `(user, signature, context)` (`pipeline::memo`). A worker answers
+//! a memo hit itself; a miss goes to the shard, which checks the memo again
+//! before evaluating, so concurrent duplicates share one evaluation. A
+//! `Report` drops the tenant's entries for its signatures when the shard
+//! applies it, and is acknowledged only after that, so the served point is a
+//! pure function of the request history content — never of socket timing or
+//! worker interleaving, and never of the `RH_THREADS` pool width.
 //!
 //! ## Backpressure
 //!
 //! Two bounded admission gates, both answering `Response::Overloaded` instead
 //! of buffering without bound: `max_pending_conns` caps connections accepted
 //! but not yet picked up by a worker (the acceptor sheds above it), and
-//! `max_inflight_suggests` caps concurrent backend evaluations (the suggest
-//! path sheds above it; coalesced joins and cache hits are exempt since they
-//! cost no evaluation).
+//! `max_inflight_suggests` caps Suggests forwarded to one shard at once (memo
+//! hits are exempt since they never leave the worker).
 //!
 //! ## Shutdown ordering
 //!
@@ -45,10 +41,9 @@
 //! `AutotuneService` shut down — which itself drains its request queue and
 //! joins the backend thread before handing the [`AutotuneBackend`] back.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,7 +51,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use optimizers::space::ConfigSpace;
 use optimizers::tuner::TuningContext;
 use pipeline::{
-    shard_of, AutotuneBackend, AutotuneClient, Corpus, KnnIndex, Provenance, ReplayedOp,
+    shard_of, AutotuneBackend, AutotuneClient, Corpus, KnnIndex, Provenance, Served,
     ShardedAutotuneClient, ShardedAutotuneService, TransferPolicy,
 };
 
@@ -76,8 +71,8 @@ pub struct ServeConfig {
     /// Connections accepted but not yet picked up by a worker before the
     /// acceptor sheds with `Overloaded`.
     pub max_pending_conns: usize,
-    /// Concurrent backend evaluations before new suggest keys are shed with
-    /// `Overloaded` (coalesced joins and cache hits are exempt).
+    /// Suggests forwarded to one shard at once (memo misses) before further
+    /// misses are shed with `Overloaded`; memo hits are exempt.
     pub max_inflight_suggests: usize,
     /// How long a suggest waits on the backend before degrading to the
     /// default configuration.
@@ -85,14 +80,14 @@ pub struct ServeConfig {
     /// Durable-state directory. When set, each shard recovers from its own
     /// subdirectory (see [`shard_state_dir`]) *before* the listener accepts
     /// anything (replay-before-accept) and WAL-logs every mutation there from
-    /// then on; each shard's coalescing cache is prepopulated from its
-    /// replayed request stream so a restarted server answers repeated
-    /// requests exactly as the crashed one would have.
+    /// then on. Recovery restores each shard's suggestion memo too, so a
+    /// restarted server answers repeated requests exactly as the crashed one
+    /// would have.
     pub state_dir: Option<std::path::PathBuf>,
     /// WAL records between compacted snapshots (ignored without `state_dir`).
     pub snapshot_every: u64,
     /// Signature-hash shards, each a full backend on its own worker thread
-    /// with its own coalescer, admission gate, and (when durable) WAL
+    /// with its own suggestion memo, admission gate, and (when durable) WAL
     /// lineage. `0` and `1` both mean a single shard.
     pub shards: usize,
     /// Per-shard bound on resident per-signature tuner state: the LRU above
@@ -134,39 +129,15 @@ pub fn shard_state_dir(root: &std::path::Path, shard: usize, shards: usize) -> s
     }
 }
 
-/// A suggestion as published to coalesced waiters.
-#[derive(Clone)]
-struct Served {
-    point: Vec<f64>,
-    fallback: Option<String>,
-    provenance: Provenance,
-}
-
-/// One coalescing slot per distinct request content.
-enum Slot {
-    /// A leader is evaluating; duplicates park a sender here.
-    InFlight { waiters: Vec<Sender<Served>> },
-    /// The evaluation finished; `batch` counts every request it served.
-    Done {
-        point: Vec<f64>,
-        fallback: Option<String>,
-        provenance: Provenance,
-        batch: u64,
-    },
-}
-
-/// Full request content: tenant, signature, canonical context bytes.
-type CoalesceKey = (String, u64, Vec<u8>);
-
-/// One shard's serving-side state: its backend client, its coalescer, and
-/// its own admission gate. Routing a signature to its lane is a pure
-/// function of the signature ([`shard_of`]), so per-signature ordering holds
-/// through the lane's queue no matter how many lanes exist.
+/// One shard's serving-side state: its backend client (with its read handle
+/// on the shard's memo) and its own admission gate. Routing a signature to
+/// its lane is a pure function of the signature ([`shard_of`]), so
+/// per-signature ordering holds through the lane's queue no matter how many
+/// lanes exist.
 struct ShardLane {
     client: AutotuneClient,
-    /// Backend evaluations in flight on this shard.
+    /// Suggests forwarded to this shard and not yet answered.
     inflight: AtomicU64,
-    coalescer: Mutex<HashMap<CoalesceKey, Slot>>,
 }
 
 struct Shared {
@@ -181,12 +152,6 @@ struct Shared {
     /// Connections accepted, not yet picked up by a worker.
     queued: AtomicU64,
     metrics: ServeMetrics,
-}
-
-fn lock_coalescer(lane: &ShardLane) -> MutexGuard<'_, HashMap<CoalesceKey, Slot>> {
-    lane.coalescer
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A live serving instance. Dropping the handle drains and joins everything —
@@ -222,11 +187,9 @@ impl Server {
             backend = backend.with_retrieval(index, TransferPolicy::default());
         }
         let mut backends = backend.split_into_shards(shards, cfg.shard_capacity);
-        // Replay-before-accept: recover each shard's durable state (and
-        // rebuild its coalescing cache from its replayed request stream)
-        // before the listener exists, so no request can race the replay.
-        let mut recovered_caches: Vec<HashMap<CoalesceKey, Slot>> =
-            (0..shards).map(|_| HashMap::new()).collect();
+        // Replay-before-accept: recover each shard's durable state, memo
+        // included, before the listener exists, so no request can race the
+        // replay.
         let mut recovery: Option<pipeline::RecoveryReport> = None;
         if let Some(dir) = &cfg.state_dir {
             let mut merged = pipeline::RecoveryReport::default();
@@ -235,25 +198,22 @@ impl Server {
                     &shard_state_dir(dir, i, shards),
                     cfg.snapshot_every.max(1),
                 )?;
-                prepopulate_coalescer(&mut recovered_caches[i], &report.ops);
                 merged.replayed += report.replayed;
                 merged.quarantined += report.quarantined;
                 merged.quarantined_bytes += report.quarantined_bytes;
                 merged.restored_snapshot |= report.restored_snapshot;
-                merged.ops.extend(report.ops);
             }
             recovery = Some(merged);
         }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let (service, client) = ShardedAutotuneService::spawn(backends);
-        let lanes = recovered_caches
-            .into_iter()
-            .zip(client.clients())
-            .map(|(cache, shard_client)| ShardLane {
+        let lanes = client
+            .clients()
+            .iter()
+            .map(|shard_client| ShardLane {
                 client: shard_client.clone(),
                 inflight: AtomicU64::new(0),
-                coalescer: Mutex::new(cache),
             })
             .collect();
         let width = if cfg.workers == 0 {
@@ -356,40 +316,6 @@ impl Drop for Server {
 fn begin_drain(shared: &Shared) {
     if !shared.draining.swap(true, Ordering::AcqRel) {
         let _ = TcpStream::connect(shared.local_addr);
-    }
-}
-
-/// Rebuild the coalescing cache from the recovery's replayed request stream,
-/// in WAL order: each replayed suggestion publishes its (bit-identical)
-/// point; each replayed report invalidates the tenant's entries for the
-/// signatures it mentioned — exactly what the live paths would have done.
-fn prepopulate_coalescer(map: &mut HashMap<CoalesceKey, Slot>, ops: &[ReplayedOp]) {
-    for op in ops {
-        match op {
-            ReplayedOp::Suggest {
-                user,
-                signature,
-                ctx,
-                point,
-                provenance,
-            } => {
-                let Ok(ctx_bytes) = serde_json::to_vec(ctx) else {
-                    continue;
-                };
-                map.insert(
-                    (user.clone(), *signature, ctx_bytes),
-                    Slot::Done {
-                        point: point.clone(),
-                        fallback: None,
-                        provenance: *provenance,
-                        batch: 1,
-                    },
-                );
-            }
-            ReplayedOp::Invalidate { user, signatures } => {
-                map.retain(|k, _| !(&k.0 == user && signatures.binary_search(&k.1).is_ok()));
-            }
-        }
     }
 }
 
@@ -532,16 +458,6 @@ fn dispatch(shared: &Arc<Shared>, req: Request) -> (Response, bool) {
     }
 }
 
-/// What a suggest request should do, decided under the coalescer lock.
-enum SuggestPlan {
-    /// Cache hit: the answer is already published.
-    Hit(Served),
-    /// A leader is in flight; wait for its publication.
-    Wait(Receiver<Served>),
-    /// This request leads a fresh backend evaluation.
-    Lead,
-}
-
 fn serve_suggest(
     shared: &Arc<Shared>,
     user: &str,
@@ -557,8 +473,8 @@ fn serve_suggest(
     resp
 }
 
-/// The suggest path after routing: coalesce, gate, and evaluate on one
-/// shard's lane.
+/// The suggest path after routing: a memo hit is answered on this worker;
+/// a miss passes the lane's admission gate and goes to the shard.
 fn serve_suggest_on(
     shared: &Arc<Shared>,
     shard: usize,
@@ -572,161 +488,67 @@ fn serve_suggest_on(
             message: format!("signature routed to missing shard {shard}"),
         };
     };
-    let Ok(ctx_bytes) = serde_json::to_vec(ctx) else {
-        return Response::Error {
-            code: codes::MALFORMED_FRAME.to_string(),
-            message: "unencodable tuning context".to_string(),
+    if let Some(hit) = lane.client.memo_hit(user, signature, ctx) {
+        return suggestion_response(shared, shard, hit);
+    }
+    let inflight = lane.inflight.load(Ordering::Acquire);
+    let cap = u64::try_from(shared.cfg.max_inflight_suggests).unwrap_or(u64::MAX);
+    if inflight >= cap {
+        shared.metrics.count_shard_overloaded(shard);
+        return Response::Overloaded {
+            inflight,
+            capacity: cap,
         };
-    };
-    let key: CoalesceKey = (user.to_string(), signature, ctx_bytes);
-    let plan = {
-        let mut map = lock_coalescer(lane);
-        match map.get_mut(&key) {
-            Some(Slot::Done {
-                point,
-                fallback,
-                provenance,
-                batch,
-            }) => {
-                *batch = batch.saturating_add(1);
-                let served = Served {
-                    point: point.clone(),
-                    fallback: fallback.clone(),
-                    provenance: *provenance,
-                };
-                let batch = *batch;
-                drop(map);
-                shared.metrics.count_coalesced_hit(shard);
-                shared.metrics.observe_batch(batch);
-                SuggestPlan::Hit(served)
-            }
-            Some(Slot::InFlight { waiters }) => {
-                let (tx, rx) = unbounded();
-                waiters.push(tx);
-                drop(map);
-                shared.metrics.count_coalesced_hit(shard);
-                SuggestPlan::Wait(rx)
-            }
-            None => {
-                let inflight = lane.inflight.load(Ordering::Acquire);
-                let cap = u64::try_from(shared.cfg.max_inflight_suggests).unwrap_or(u64::MAX);
-                if inflight >= cap {
-                    drop(map);
-                    shared.metrics.count_shard_overloaded(shard);
-                    return Response::Overloaded {
-                        inflight,
-                        capacity: cap,
-                    };
-                }
-                lane.inflight.fetch_add(1, Ordering::AcqRel);
-                map.insert(
-                    key.clone(),
-                    Slot::InFlight {
-                        waiters: Vec::new(),
-                    },
-                );
-                SuggestPlan::Lead
-            }
-        }
-    };
-    match plan {
-        SuggestPlan::Hit(s) => suggestion_response(shared, s),
-        SuggestPlan::Wait(rx) => {
-            // Grace beyond the leader's own timeout: the leader always
-            // publishes (a default on fallback), so this only fires if the
-            // leader's thread died.
-            let wait = shared
-                .cfg
-                .suggest_timeout
-                .saturating_add(Duration::from_secs(1));
-            match rx.recv_timeout(wait) {
-                Ok(s) => suggestion_response(shared, s),
-                Err(_) => Response::Suggestion {
-                    point: shared.space.default_point(),
-                    fallback: Some("coalesced leader unavailable".to_string()),
-                    provenance: Some(Provenance::Explored.to_string()),
-                },
-            }
-        }
-        SuggestPlan::Lead => {
-            let (point, provenance, fallback) = lane.client.suggest_or_default_tagged(
-                user,
-                signature,
-                ctx,
-                shared.cfg.suggest_timeout,
-                &shared.space,
-            );
-            lane.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+    lane.inflight.fetch_add(1, Ordering::AcqRel);
+    let served = lane
+        .client
+        .serve(user, signature, ctx, shared.cfg.suggest_timeout);
+    lane.inflight.fetch_sub(1, Ordering::AcqRel);
+    match served {
+        Ok(s) => suggestion_response(shared, shard, s),
+        // Nothing is cached: the shard still applies the request, and a
+        // retry is answered from its memo once it has.
+        Err(why) => {
             shared.metrics.count_backend_eval(shard);
-            let fallback = fallback.map(|f| f.to_string());
-            let served = Served {
-                point: point.clone(),
-                fallback: fallback.clone(),
-                provenance,
-            };
-            let (waiters, batch) = {
-                let mut map = lock_coalescer(lane);
-                let waiters = match map.remove(&key) {
-                    Some(Slot::InFlight { waiters }) => waiters,
-                    _ => Vec::new(),
-                };
-                let batch = u64::try_from(waiters.len())
-                    .unwrap_or(u64::MAX)
-                    .saturating_add(1);
-                map.insert(
-                    key,
-                    Slot::Done {
-                        point: point.clone(),
-                        fallback: fallback.clone(),
-                        provenance,
-                        batch,
-                    },
-                );
-                (waiters, batch)
-            };
-            shared.metrics.observe_batch(batch);
-            for w in waiters {
-                let _ = w.send(served.clone());
+            Response::Suggestion {
+                point: shared.space.default_point(),
+                fallback: Some(why.to_string()),
+                provenance: Some(Provenance::Explored.to_string()),
             }
-            suggestion_response(shared, served)
         }
     }
 }
 
-/// Build the wire response for a served suggestion, counting transfers. Every
-/// answer of a transferred point counts — fresh evaluations and coalesced
-/// copies alike — because each one is a request a cold tuner did not have to
-/// explore for.
-fn suggestion_response(shared: &Arc<Shared>, s: Served) -> Response {
+/// Build the wire response for a served suggestion and count it: a memo hit
+/// or an evaluation, the entry's batch size, and — for every answer of a
+/// transferred point, since each is a request a cold tuner did not have to
+/// explore for — a transfer.
+fn suggestion_response(shared: &Arc<Shared>, shard: usize, s: Served) -> Response {
+    if s.hit {
+        shared.metrics.count_coalesced_hit(shard);
+    } else {
+        shared.metrics.count_backend_eval(shard);
+    }
+    shared.metrics.observe_batch(s.batch);
     if s.provenance == Provenance::Transferred {
         shared.metrics.count_transfer_served();
     }
     Response::Suggestion {
         point: s.point,
-        fallback: s.fallback,
+        fallback: None,
         provenance: Some(s.provenance.to_string()),
     }
 }
 
+/// Reply only once every shard the report touches has applied it (or the
+/// suggest timeout passed), so the reporting client's next Suggest can never
+/// be answered from a memo entry this report invalidates.
 fn serve_report(shared: &Arc<Shared>, user: &str, app_id: &str, jsonl: String) -> Response {
     shared.metrics.count_report();
-    // New observations should move the tuner: invalidate this tenant's cached
-    // suggestions for every signature the document mentions, so the *content*
-    // of the report history — not timing — decides what later suggests see.
-    let (events, _quarantined) = sparksim::event::from_jsonl_lossy(&jsonl);
-    // One definition shared with replay-time cache rebuild: see
-    // `pipeline::report_signatures`.
-    let sigs = pipeline::report_signatures(&events);
-    if !sigs.is_empty() {
-        // Each signature's cache entries live only on its own lane, so a
-        // uniform retain over every lane invalidates exactly the owning
-        // shard's entries.
-        for lane in &shared.lanes {
-            let mut map = lock_coalescer(lane);
-            map.retain(|k, _| !(k.0 == user && sigs.binary_search(&k.1).is_ok()));
-        }
-    }
-    shared.client.report_jsonl(user, app_id, jsonl);
+    let _ = shared
+        .client
+        .report_jsonl(user, app_id, jsonl, shared.cfg.suggest_timeout);
     Response::Reported
 }
 

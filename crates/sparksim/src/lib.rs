@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod noise;
 pub mod physical;
 pub mod plan;
-pub mod scenario;
 pub mod scheduler;
 pub mod simulator;
 
@@ -57,7 +56,6 @@ pub use fault::{FailureReason, FaultSpec, RunOutcome};
 pub use metrics::QueryMetrics;
 pub use noise::NoiseSpec;
 pub use plan::PlanNode;
-pub use scenario::ScaleShift;
 pub use simulator::{QueryRun, Simulator};
 
 /// Errors from configuration validation and planning.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full CI pass, in the order that fails fastest:
-#   formatting → static analysis (rhlint) → release build → tests (serial and
-#   8-wide pools — DESIGN.md §7 says the results must be identical) → the
-#   parallel-scaling benchmark (BENCH_parallel.json is the uploadable
+#   formatting → static analysis (rhlint) → release build of every target →
+#   tests (serial and 8-wide pools — DESIGN.md §7 says the results must be
+#   identical) → the rhbench smoke suite → the parallel-scaling benchmark (BENCH_parallel.json is the uploadable
 #   artifact) → serving load-gen smoke (BENCH_serve.json) → chaos smoke.
 # Usage: scripts/ci.sh  (from anywhere inside the repo)
 set -euo pipefail
@@ -19,14 +19,17 @@ echo "==> rhlint check (SARIF artifact: rhlint.sarif)"
 cargo run -q -p rhlint -- check --format sarif > rhlint.sarif || [ $? -eq 1 ]
 cargo run -q -p rhlint -- check
 
-echo "==> cargo build --release"
-cargo build --release --workspace
+echo "==> cargo build --release (every target: libs, bins, tests, benches, examples)"
+cargo build --release --workspace --all-targets
 
 echo "==> cargo test (RH_THREADS=1)"
 RH_THREADS=1 cargo test -q --workspace
 
 echo "==> cargo test (RH_THREADS=8)"
 RH_THREADS=8 cargo test -q --workspace
+
+echo "==> rhbench smoke suite (the repository benchmark builds and runs)"
+cargo test --release --offline --manifest-path rhbench/Cargo.toml
 
 echo "==> parallel-scaling bench (BENCH_parallel.json)"
 cargo run -q --release -p bench -- --quick

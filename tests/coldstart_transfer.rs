@@ -8,21 +8,13 @@
 //! 2. **Shard invariance** — the transferred answer is bit-identical across
 //!    shard counts {1, 2, 8}, because it is a pure function of
 //!    `(index, embedding)`.
-//! 3. **Concept drift** — a mid-stream data-scale shift (sparksim
-//!    `ScaleShift`) moves the recurring job's embedding, the
-//!    `DriftDetector` fires exactly at the shift, and re-ranking against
-//!    the index swaps in the right donor — the stale neighbor set really
-//!    was invalidated.
 
 use std::sync::Arc;
 
 use optimizers::env::{Environment, QueryEnv};
 use pipeline::{shard_of, AutotuneBackend, Corpus, KnnIndex, Provenance, Storage, TransferPolicy};
-use rockindex::drift::DriftDetector;
 use sparksim::fault::FaultSpec;
 use sparksim::noise::NoiseSpec;
-use sparksim::plan::PlanNode;
-use sparksim::scenario::ScaleShift;
 
 const QUERY: usize = 6;
 const SCALE_FACTOR: f64 = 5.0;
@@ -176,87 +168,4 @@ fn transferred_answers_are_bit_identical_across_shard_counts() {
     }
     assert_eq!(answers[0], answers[1], "1-shard vs 2-shard answers differ");
     assert_eq!(answers[0], answers[2], "1-shard vs 8-shard answers differ");
-}
-
-#[test]
-fn a_data_scale_shift_invalidates_the_neighbor_set_and_reranking_recovers() {
-    // The recurring job's template: sized so an 8x data shift crosses the
-    // virtual-op input buckets and visibly moves the embedding.
-    let template = PlanNode::scan("lineitem", 2.0e5, 100.0)
-        .filter(0.1)
-        .hash_aggregate(0.01);
-    let shift = ScaleShift::new(template.clone(), 1.0, 8.0, 5);
-    let embedder = embedding::WorkloadEmbedder::virtual_ops();
-    let job_signature = embedding::query_signature(&template);
-
-    // Two donors in the corpus: one tuned at the small scale, one at the
-    // large scale, with distinct best points.
-    const SMALL_DONOR: u64 = 101;
-    const LARGE_DONOR: u64 = 202;
-    let mut corpus = Corpus::in_memory();
-    for (signature, scale, best_point) in [
-        (SMALL_DONOR, shift.scale_at(0), vec![0.1, 0.2, 0.3]),
-        (
-            LARGE_DONOR,
-            shift.scale_at(shift.shift_at),
-            vec![0.7, 0.8, 0.9],
-        ),
-    ] {
-        corpus
-            .upsert(pipeline::CorpusEntry {
-                signature,
-                embedding: embedder.embed(&template.scaled(scale)),
-                best_point,
-                observations: 16,
-                best_elapsed_ms: 100.0,
-                mean_elapsed_ms: 120.0,
-                data_size: scale,
-            })
-            .expect("in-memory upserts");
-    }
-    let index = KnnIndex::build(&corpus);
-    let policy = TransferPolicy::default();
-
-    // Serve the recurring job across the shift, re-ranking only when the
-    // detector fires — the production cadence: rank once, trust the cached
-    // neighbor until the embedding moves.
-    let mut detector = DriftDetector::new(0.2);
-    let mut cached = policy
-        .lookup(&index, &embedder.embed(&shift.plan_at(0)))
-        .expect("the small donor covers the pre-shift embedding");
-    let mut drift_iterations = Vec::new();
-    for t in 0..10u32 {
-        let embedding = embedder.embed(&shift.plan_at(t));
-        let signal = detector.observe(job_signature, &embedding);
-        if signal.drifted() {
-            drift_iterations.push(t);
-            let stale = cached.clone();
-            cached = policy
-                .lookup(&index, &embedding)
-                .expect("the large donor covers the post-shift embedding");
-            assert_ne!(
-                stale.signature, cached.signature,
-                "the shift must actually invalidate the cached neighbor"
-            );
-        }
-        let expected = if shift.shifted(t) {
-            LARGE_DONOR
-        } else {
-            SMALL_DONOR
-        };
-        assert_eq!(
-            cached.signature, expected,
-            "iteration {t}: wrong transfer source after drift handling"
-        );
-    }
-    assert_eq!(
-        drift_iterations,
-        vec![shift.shift_at],
-        "the detector must fire exactly once, at the shift iteration"
-    );
-    assert_eq!(
-        detector.tracked(),
-        1,
-        "one recurring signature means one tracked baseline"
-    );
 }

@@ -15,9 +15,10 @@
 //! 1. append-before-apply: the WAL records every state-mutating operation in
 //!    backend order, and replay re-executes them through the normal code
 //!    paths with checkpointed tuner RNG streams;
-//! 2. replay-before-accept: the recovered server prepopulates its coalescing
-//!    cache from the replayed operations, so a repeated suggest key is
-//!    served from the same evaluation as before the crash;
+//! 2. replay-before-accept: each shard's suggestion memo is restored from
+//!    the snapshot and updated by the replayed records before the server
+//!    accepts, so a repeated suggest key is served from the same evaluation
+//!    as before the crash;
 //! 3. a torn tail can only lose a suffix of logged operations, and each
 //!    lost suggest re-derives the identical point on the next request for
 //!    its signature (the tuner state it would have mutated was lost with it).
@@ -71,8 +72,8 @@ fn assert_split_run_matches(seed: u64, shards: usize, tear_wal_tail: bool, tag: 
     assert_eq!(crashed.sent, reference.sent);
     assert_eq!(crashed.protocol_errors, 0, "split run spoke bad frames");
     assert!(crashed.clean_drain, "both lifetimes must drain cleanly");
-    // Every suggest is either a backend evaluation or a coalesced hit —
-    // across both lifetimes, including hits on the replay-rebuilt cache.
+    // Every suggest is either a backend evaluation or a memo hit — across
+    // both lifetimes, including hits on the recovered memo.
     assert_eq!(
         crashed.backend_evals + crashed.coalesced_hits,
         crashed.sent.0,

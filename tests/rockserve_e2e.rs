@@ -8,16 +8,20 @@
 //!    explicit `Overloaded` replies, never hangs.
 //! 3. **Protocol rejection** — wrong-version, garbage, oversized, and
 //!    truncated frames each get a typed `Error` reply with the right code.
+//! 4. **Memo consistency** — a timed-out Suggest caches nothing, and a
+//!    Report is applied before the reporting connection's next Suggest.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use optimizers::env::{Environment, QueryEnv};
 use optimizers::tuner::TuningContext;
-use pipeline::{AutotuneBackend, Storage};
+use pipeline::{AutotuneBackend, Provenance, Storage};
 use rockserve::proto::{self, codes, Request, Response, MAX_PAYLOAD_BYTES};
-use rockserve::{ServeClient, ServeConfig, Server};
+use rockserve::{ServeClient, ServeConfig, Server, WireError};
+use sparksim::noise::NoiseSpec;
 
 const SEED: u64 = 0xE2E;
 
@@ -34,14 +38,19 @@ fn spawn_server(cfg: ServeConfig) -> Server {
     Server::spawn(backend, "127.0.0.1:0", cfg).expect("server binds an ephemeral port")
 }
 
-/// Threads in this process right now (Linux); `None` elsewhere.
+/// Live threads started by the calling test (Linux); `None` elsewhere. A
+/// thread inherits the name of the thread that spawns it, and the test
+/// harness names each test's thread after the test, so threads of tests
+/// running concurrently are not counted.
 fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|n| n.parse().ok())
+    let name = std::fs::read_to_string("/proc/thread-self/comm").ok()?;
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .filter(|t| std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c == name))
+            .count(),
+    )
 }
 
 #[test]
@@ -266,4 +275,98 @@ fn bad_frames_get_typed_error_replies_not_hangs_or_panics() {
         Ok(Response::Suggestion { .. })
     ));
     assert!(server.shutdown().iter().all(Option::is_some));
+}
+
+/// A served suggestion's point and provenance; panics on anything else,
+/// fallbacks included.
+fn tagged(reply: Result<Response, WireError>) -> (Vec<f64>, Provenance) {
+    match reply {
+        Ok(Response::Suggestion {
+            point,
+            fallback: None,
+            provenance,
+        }) => (point, Provenance::from_wire(provenance.as_deref())),
+        other => panic!("expected a suggestion, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_timed_out_suggest_caches_nothing_and_a_retry_gets_the_evaluated_point() {
+    let server = spawn_server(ServeConfig {
+        workers: 2,
+        suggest_timeout: Duration::ZERO,
+        ..ServeConfig::default()
+    });
+    let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
+    let mut ask = |signature: u64| match client.suggest("tenant", signature, &ctx()) {
+        Ok(Response::Suggestion {
+            point, fallback, ..
+        }) => (point, fallback),
+        other => panic!("expected a suggestion, got {other:?}"),
+    };
+    // A zero timeout almost always falls back on a key's first ask (the
+    // shard cannot answer that fast); take the first key that did.
+    let signature = (0..64u64)
+        .find(|&sig| ask(sig).1.is_some())
+        .expect("a zero timeout must fall back on some first ask");
+    // The shard still evaluates that ask; once it has, a retry is answered
+    // from its memo with the evaluated point.
+    let answer = (0..500).find_map(|_| match ask(signature) {
+        (point, None) => Some(point),
+        (_, Some(_)) => {
+            std::thread::sleep(Duration::from_millis(10));
+            None
+        }
+    });
+    let mut direct = AutotuneBackend::new(Arc::new(Storage::new()), None, SEED);
+    assert_eq!(
+        answer,
+        Some(direct.suggest("tenant", signature, &ctx())),
+        "the key stayed on the fallback"
+    );
+    assert!(server.shutdown().iter().all(Option::is_some));
+}
+
+#[test]
+fn a_report_is_applied_before_the_next_suggest_on_its_connection() {
+    let env = QueryEnv::tpch(6, 0.1, NoiseSpec::none(), 1);
+    // The in-process reference: suggest, report a simulated run of that
+    // point, suggest the same key again.
+    let mut direct = AutotuneBackend::new(Arc::new(Storage::new()), None, SEED);
+    let first = direct.suggest_tagged("tenant", 42, &ctx());
+    let conf = env.space().to_conf(&first.0);
+    let run = env.sim.execute(&env.plan, &conf, 0);
+    let events = env.sim.events_for_run(
+        "app-0",
+        "artifact",
+        42,
+        &env.plan,
+        &conf,
+        ctx().embedding,
+        &run,
+    );
+    let doc = sparksim::event::to_jsonl(&events);
+    direct.ingest_jsonl("tenant", "app-0", &doc);
+    let second = direct.suggest_tagged("tenant", 42, &ctx());
+    assert_ne!(first.0, second.0, "the report must move the tuner");
+
+    for shards in [1usize, 2] {
+        let server = spawn_server(ServeConfig {
+            workers: 2,
+            shards,
+            ..ServeConfig::default()
+        });
+        let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
+        assert_eq!(tagged(client.suggest("tenant", 42, &ctx())), first);
+        assert!(matches!(
+            client.report("tenant", "app-0", doc.clone()),
+            Ok(Response::Reported)
+        ));
+        assert_eq!(
+            tagged(client.suggest("tenant", 42, &ctx())),
+            second,
+            "{shards} shards: the second suggest saw the memo from before the report"
+        );
+        assert!(server.shutdown().iter().all(Option::is_some));
+    }
 }

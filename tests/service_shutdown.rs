@@ -18,14 +18,19 @@ fn ctx() -> TuningContext {
     }
 }
 
-/// Threads in this process right now (Linux); `None` elsewhere.
+/// Live threads started by the calling test (Linux); `None` elsewhere. A
+/// thread inherits the name of the thread that spawns it, and the test
+/// harness names each test's thread after the test, so threads of tests
+/// running concurrently are not counted.
 fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|n| n.parse().ok())
+    let name = std::fs::read_to_string("/proc/thread-self/comm").ok()?;
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .filter(|t| std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c == name))
+            .count(),
+    )
 }
 
 #[test]
