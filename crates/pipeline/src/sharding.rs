@@ -12,13 +12,12 @@
 //!   ([`rockhopper::RockhopperTuner::signature_seed`]), so the *suggestions*
 //!   a signature receives are bit-identical at any shard count.
 //!
-//! App-level work — `ApplicationStart`/`ApplicationEnd` events, unparseable
-//! report lines, and the app-cache refresh path — is routed to shard 0, the
-//! designated home for state that has no query signature to hash.
+//! App-level work — `ApplicationStart`/`ApplicationEnd` events and
+//! unparseable report lines — is routed to shard 0, the designated home for
+//! state that has no query signature to hash.
 
 use std::time::Duration;
 
-use optimizers::space::ConfigSpace;
 use optimizers::tuner::TuningContext;
 use sparksim::event::SparkEvent;
 
@@ -131,46 +130,6 @@ impl ShardedAutotuneClient {
             .suggest(user, signature, ctx, timeout)
     }
 
-    /// As [`ShardedAutotuneClient::suggest`], degrading to the default point
-    /// when the owning shard is dead or wedged.
-    pub fn suggest_or_default(
-        &self,
-        user: &str,
-        signature: u64,
-        ctx: &TuningContext,
-        timeout: Duration,
-        space: &ConfigSpace,
-    ) -> (Vec<f64>, Option<SuggestFallback>) {
-        match self.client_for(signature) {
-            Some(client) => client.suggest_or_default(user, signature, ctx, timeout, space),
-            None => (space.default_point(), Some(SuggestFallback::BackendDown)),
-        }
-    }
-
-    /// Ship an event batch, partitioned so each event reaches the shard that
-    /// owns its signature (app-level events go to shard 0). Relative order
-    /// *within* each shard's slice matches the input order, which is all the
-    /// per-signature ordering guarantee needs.
-    pub fn ingest(&self, user: &str, app_id: &str, events: Vec<SparkEvent>) {
-        let shards = self.clients.len();
-        if shards == 1 {
-            if let Some(client) = self.clients.first() {
-                client.ingest(user, app_id, events);
-            }
-            return;
-        }
-        let mut per_shard: Vec<Vec<SparkEvent>> = (0..shards).map(|_| Vec::new()).collect();
-        for event in events {
-            let shard = event_shard(&event, shards);
-            per_shard[shard].push(event);
-        }
-        for (shard, slice) in per_shard.into_iter().enumerate() {
-            if !slice.is_empty() {
-                self.clients[shard].ingest(user, app_id, slice);
-            }
-        }
-    }
-
     /// Ship a raw JSON-lines report, partitioned line-by-line: lines carrying
     /// a query signature go to that signature's shard, app-level and
     /// unparseable lines go to shard 0 (which quarantines and counts the
@@ -208,26 +167,6 @@ impl ShardedAutotuneClient {
             merged = merged.merged_with(client.dashboard_counters(timeout)?);
         }
         Some(merged)
-    }
-
-    /// App-cache refresh: routed to shard 0, the home shard for app-level
-    /// state. The refresh only sees query state resident on shard 0;
-    /// cross-shard app-cache aggregation is out of scope (DESIGN.md §11).
-    pub fn update_app_cache(
-        &self,
-        user: &str,
-        artifact_id: &str,
-        signatures: Vec<u64>,
-        expected_p: f64,
-    ) {
-        if let Some(client) = self.clients.first() {
-            client.update_app_cache(user, artifact_id, signatures, expected_p);
-        }
-    }
-
-    /// Fetch an artifact's app-level configuration from shard 0.
-    pub fn app_conf(&self, artifact_id: &str) -> Option<Vec<f64>> {
-        self.clients.first()?.app_conf(artifact_id)
     }
 }
 

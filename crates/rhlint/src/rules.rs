@@ -106,12 +106,10 @@ pub(crate) fn bad_suppressions(rel_path: &Path, masked: &MaskedSource) -> Vec<Di
     diagnostics
 }
 
-/// The three sites allowed to call `thread::spawn` directly: the `rockpool`
-/// work pool itself, the `pipeline::service` backend worker (a single
-/// long-lived request loop that the service handle joins on shutdown), and
-/// the `rockserve` serving edge (acceptor + worker pool, all joined by the
-/// server handle's drain contract). Everything else must fan out through
-/// `rockpool::Pool`.
+/// The sites allowed to call `thread::spawn` directly: `rockpool`, the
+/// `pipeline::service` backend worker, and `rockserve`'s acceptor and
+/// connection threads, each joined by its handle on shutdown. Everything
+/// else must fan out through `rockpool::Pool`.
 fn spawn_sanctioned(crate_name: &str, rel_path: &Path) -> bool {
     crate_name == "rockpool"
         || crate_name == "rockserve"

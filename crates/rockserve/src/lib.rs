@@ -7,13 +7,10 @@
 //!   (`Suggest` / `Report` / `Health` / `Metrics` / `Shutdown` frames) with
 //!   explicit error replies for truncated, oversized, malformed, and
 //!   wrong-version frames — never a panic, never a hang.
-//! - [`server`]: a blocking acceptor feeding a fixed-width worker pool
-//!   (width from `RH_THREADS`, like the evaluation pool) that answers hits
-//!   in each shard's suggestion memo itself (concurrent identical
-//!   `Suggest`s share one backend evaluation), bounded admission gates that answer
-//!   `Overloaded` instead of buffering without bound, and a
-//!   drain-then-shutdown lifecycle that joins every thread and hands the
-//!   [`pipeline::AutotuneBackend`] back.
+//! - [`server`]: a blocking acceptor with one thread per connection, which
+//!   answers hits in each shard's suggestion memo itself; bounded admission
+//!   gates that answer `Overloaded`; and a drain-then-shutdown lifecycle that
+//!   joins every thread and hands the [`pipeline::AutotuneBackend`] back.
 //! - [`metrics`]: request counters, batching gauges, and a log2 latency
 //!   histogram, exported through the `Metrics` frame alongside the pipeline's
 //!   `DashboardCounters` and rendered as a `/metrics`-style text page.

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over the core invariants of the workspace:
 //! config-space roundtrips, noise monotonicity, plan-estimate sanity, simulator
-//! determinism and signature stability.
+//! determinism, signature stability, and the vendored JSON codec's round trip
+//! and limits.
 
 use proptest::prelude::*;
 
@@ -8,6 +9,8 @@ use embedding::WorkloadEmbedder;
 use optimizers::space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::text::{parse, render_compact};
+use serde::Value;
 use sparksim::config::SparkConf;
 use sparksim::noise::NoiseSpec;
 use sparksim::plan::PlanNode;
@@ -117,5 +120,74 @@ proptest! {
         if let (Some(first), true) = (win.first(), n > 0) {
             prop_assert_eq!(first.elapsed_ms, (n - win.len()) as f64);
         }
+    }
+
+    #[test]
+    fn json_strings_round_trip_through_render_and_parse(
+        picks in prop::collection::vec((0u8..4, 0u32..0x11_0000), 0..48),
+    ) {
+        // Any scalar, weighted towards the ones the renderer escapes.
+        const SPECIAL: [char; 10] =
+            ['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{0}', '\u{1f}'];
+        let text: String = picks
+            .iter()
+            .filter_map(|&(kind, code)| match kind {
+                0 => Some(SPECIAL[code as usize % SPECIAL.len()]),
+                1 => char::from_u32(code % 0x80),
+                _ => char::from_u32(code),
+            })
+            .collect();
+        let value = Value::Object(vec![(
+            text.clone(),
+            Value::Array(vec![Value::Str(text.clone()), Value::Str(String::new())]),
+        )]);
+        let rendered = render_compact(&value);
+        prop_assert_eq!(parse(&rendered).expect("rendered JSON parses"), value);
+    }
+}
+
+/// `depth` arrays nested inside one another.
+fn nested_arrays(depth: usize) -> String {
+    "[".repeat(depth) + &"]".repeat(depth)
+}
+
+#[test]
+fn json_nesting_is_capped_at_128_levels() {
+    assert!(parse(&nested_arrays(128)).is_ok());
+    let deep = parse(&nested_arrays(129)).expect_err("129 levels are rejected");
+    assert_eq!(
+        deep.to_string(),
+        "deserialization error: recursion limit exceeded at byte 128"
+    );
+    let objects = "{\"a\":".repeat(129) + "1" + &"}".repeat(129);
+    assert!(parse(&objects).is_err());
+    // Far past the cap the parser still answers with an error, not a stack
+    // overflow.
+    assert!(parse(&"[".repeat(100_000)).is_err());
+}
+
+#[test]
+fn json_parse_errors_report_their_byte_offsets() {
+    for (input, message) in [
+        ("{} x", "trailing characters at byte 3"),
+        ("[1,]", "expected a JSON value at byte 3"),
+        ("[1 2]", "expected ',' or ']' at byte 3"),
+        ("{\"a\" 1}", "expected ':' at byte 5"),
+        ("{\"a\":1 \"b\"}", "expected ',' or '}' at byte 7"),
+        ("tru", "expected 'true' at byte 0"),
+        ("-", "invalid number '-' at byte 1"),
+        ("\"abc", "unterminated string at byte 4"),
+        ("\"é\u{2603}", "unterminated string at byte 6"),
+        ("\"é\\", "bad escape at byte 3"),
+        ("\"ab\\q\"", "unknown escape at byte 5"),
+        ("\"\\u12\"", "bad \\u escape at byte 3"),
+        ("\"\\uzzzz\"", "bad \\u escape at byte 3"),
+    ] {
+        let err = parse(input).expect_err(input);
+        assert_eq!(
+            err.to_string(),
+            format!("deserialization error: {message}"),
+            "{input:?}"
+        );
     }
 }

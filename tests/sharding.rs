@@ -129,7 +129,6 @@ fn per_signature_order_is_preserved_under_concurrent_clients() {
         backend,
         "127.0.0.1:0",
         ServeConfig {
-            workers: 8,
             shards: 4,
             ..ServeConfig::default()
         },
