@@ -1,5 +1,6 @@
 //! Pipeline throughput: event-log serialization, ETL extraction, storage put/get,
-//! and tuner-state checkpointing — the paths the backend exercises per application.
+//! tuner-state checkpointing and JSON rendering — the paths the backend exercises
+//! per application.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -83,6 +84,10 @@ fn bench_checkpoint(c: &mut Criterion) {
         b.iter(|| serde_json::to_vec(&tuner.snapshot()).unwrap())
     });
     let bytes = serde_json::to_vec(&tuner.snapshot()).unwrap();
+    let doc = serde_json::from_slice::<serde_json::Value>(&bytes).unwrap();
+    c.bench_function("json_render_snapshot_60_obs", |b| {
+        b.iter(|| serde::text::render_compact(black_box(&doc)))
+    });
     c.bench_function("tuner_restore_from_json", |b| {
         b.iter(|| {
             let state: rockhopper::tuner::TunerState =

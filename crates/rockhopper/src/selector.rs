@@ -73,10 +73,8 @@ impl CandidateSelector for SurrogateSelector {
         history: &History,
     ) -> usize {
         assert!(!candidates.is_empty(), "candidate set must be non-empty");
-        // Prefer the query's own window model once it can be fit. Scoring a
-        // CL centroid's whole sample set is pure (the fitted model is read
-        // only), so it fans out over rockpool; the index-ordered reduction in
-        // `argmin_by` keeps the pick bit-identical to the serial loop.
+        // Prefer the query's own window model once it can be fit; either
+        // model scores the candidate set on this thread (see `argmin_by`).
         if let Some(h) = fit_window_model(space, history.window(self.window)) {
             return argmin_by(candidates, |c| {
                 h.predict(&h_features(space, c, ctx.expected_data_size))
@@ -178,14 +176,13 @@ impl CandidateSelector for RandomSelector {
     }
 }
 
-fn argmin_by<F: Fn(&Vec<f64>) -> f64 + Sync>(candidates: &[Vec<f64>], score: F) -> usize {
-    // Scores are computed per stable candidate index on the ambient pool and
-    // reduced in index order, so the winning index matches the serial scan
-    // for any RH_THREADS (DESIGN.md §7). Candidates are asserted non-empty by
-    // every selector; if every score is NaN the first candidate is as good a
-    // pick as any.
-    let scores = rockpool::Pool::from_env().map(candidates, |_, c| score(c));
-    ml::stats::nan_safe_min_by(&scores, |s| *s).unwrap_or(0)
+fn argmin_by<F: Fn(&Vec<f64>) -> f64>(candidates: &[Vec<f64>], score: F) -> usize {
+    // A serial scan on the caller's thread, reduced in index order: a CL
+    // candidate set is ~25 points whose model predictions cost about a
+    // microsecond each, less than spawning pool threads (DESIGN.md §7).
+    // Candidates are asserted non-empty by every selector; if every score is
+    // NaN the first candidate is as good a pick as any.
+    ml::stats::nan_safe_min_by(candidates, score).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -227,6 +224,70 @@ mod tests {
                 p
             })
             .collect()
+    }
+
+    /// The reference scan: the first index holding the smallest non-NaN
+    /// score, or 0 when every score is NaN.
+    fn serial_scan(scores: &[f64]) -> usize {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &s) in scores.iter().enumerate() {
+            if !s.is_nan() && best.is_none_or(|(_, b)| s < b) {
+                best = Some((i, s));
+            }
+        }
+        best.map_or(0, |(i, _)| i)
+    }
+
+    /// `argmin_by` over one-coordinate candidates scored by that coordinate.
+    fn argmin_of(scores: &[f64]) -> usize {
+        let candidates: Vec<Vec<f64>> = scores.iter().map(|&s| vec![s]).collect();
+        argmin_by(&candidates, |c| c.iter().sum())
+    }
+
+    #[test]
+    fn argmin_by_matches_a_serial_scan() {
+        let nan = f64::NAN;
+        let cases: [(&[f64], usize); 6] = [
+            (&[3.0, 1.0, 2.0, 1.0], 1),
+            (&[nan, 2.0, nan, 0.5, 0.5], 3),
+            (&[nan, nan, nan], 0),
+            (&[7.0], 0),
+            (
+                &[f64::INFINITY, nan, f64::NEG_INFINITY, f64::NEG_INFINITY],
+                2,
+            ),
+            (&[nan, 4.0], 1),
+        ];
+        for (scores, want) in cases {
+            assert_eq!(serial_scan(scores), want, "reference on {scores:?}");
+            assert_eq!(argmin_of(scores), want, "argmin_by on {scores:?}");
+        }
+        // Few distinct values, so ties and NaN runs are common.
+        let values = [nan, 0.0, 1.0, 2.0, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..500 {
+            let len = rng.random_range(1..40);
+            let scores: Vec<f64> = (0..len)
+                .map(|_| values[rng.random_range(0..values.len())])
+                .collect();
+            assert_eq!(argmin_of(&scores), serial_scan(&scores), "{scores:?}");
+        }
+    }
+
+    #[test]
+    fn argmin_by_scores_every_candidate_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let candidates: Vec<Vec<f64>> = (0..256).map(|i| vec![f64::from(i)]).collect();
+        let idx = argmin_by(&candidates, |c| {
+            let mut seen = seen.lock().expect("no scorer panicked");
+            seen.push(std::thread::current().id());
+            c.iter().sum()
+        });
+        assert_eq!(idx, 0);
+        let seen = seen.into_inner().expect("no scorer panicked");
+        assert_eq!(seen.len(), candidates.len(), "one score per candidate");
+        assert!(seen.iter().all(|&id| id == caller), "scored off-thread");
     }
 
     #[test]

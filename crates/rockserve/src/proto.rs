@@ -11,6 +11,7 @@
 //! silently.
 
 use std::io::{ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
 
 use pipeline::DashboardCounters;
 use serde::{Deserialize, Serialize};
@@ -25,6 +26,11 @@ pub const MAX_PAYLOAD_BYTES: u32 = 1 << 20;
 
 /// Frame header: 4 length bytes + 2 version bytes.
 pub const HEADER_BYTES: usize = 6;
+
+/// How long a frame may take to arrive once its first byte has. A peer that
+/// stalls mid-frame past it gets [`WireError::Truncated`], so the server
+/// closes the connection and gives back the frame's share of its budget.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Error codes carried in `Response::Error` frames.
 pub mod codes {
@@ -43,7 +49,8 @@ pub mod codes {
 pub enum WireError {
     /// The underlying socket failed.
     Io(std::io::Error),
-    /// The peer closed the connection mid-frame.
+    /// The peer closed the connection, or stalled past [`FRAME_DEADLINE`],
+    /// mid-frame.
     Truncated {
         /// Bytes the frame section needed.
         expected: usize,
@@ -204,19 +211,28 @@ pub enum Response {
     },
 }
 
-/// Read exactly `buf.len()` bytes, stopping early only on EOF; returns the
-/// byte count actually read. An idle-poll timeout (`WouldBlock`/`TimedOut`)
-/// with nothing read yet surfaces as `Io` so callers can keep polling; once a
-/// frame has started arriving, timeouts retry until the frame completes.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
+/// Read exactly `buf.len()` bytes, stopping early on EOF or once `deadline`
+/// passes; returns the byte count actually read. The first byte of a frame
+/// sets its deadline. An idle-poll timeout (`WouldBlock`/`TimedOut`) before
+/// that surfaces as `Io` so callers can keep polling; after it, timeouts
+/// retry until the frame completes or the deadline passes.
+fn read_full<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    deadline: &mut Option<Instant>,
+) -> Result<usize, WireError> {
     let mut got = 0;
-    while got < buf.len() {
+    while got < buf.len() && deadline.is_none_or(|d| Instant::now() < d) {
         match r.read(&mut buf[got..]) {
             Ok(0) => break,
-            Ok(n) => got += n,
+            Ok(n) => {
+                got += n;
+                deadline.get_or_insert_with(|| Instant::now() + FRAME_DEADLINE);
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e)
-                if got > 0 && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                if deadline.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -227,20 +243,21 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
 /// header byte); all other short reads are [`WireError::Truncated`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
     match read_header(r)? {
-        Some(len) => read_payload(r, len).map(Some),
+        Some((len, deadline)) => read_payload(r, len, deadline).map(Some),
         None => Ok(None),
     }
 }
 
 /// Read one frame header and return its payload length, checked against
 /// [`MAX_PAYLOAD_BYTES`] and [`PROTOCOL_VERSION`] before anything is
-/// allocated. `Ok(None)` on a clean close.
-pub fn read_header<R: Read>(r: &mut R) -> Result<Option<u32>, WireError> {
+/// allocated, with the frame's deadline. `Ok(None)` on a clean close.
+pub fn read_header<R: Read>(r: &mut R) -> Result<Option<(u32, Instant)>, WireError> {
     let mut header = [0u8; HEADER_BYTES];
-    let got = read_full(r, &mut header)?;
-    if got == 0 {
+    let mut deadline = None;
+    let got = read_full(r, &mut header, &mut deadline)?;
+    let Some(deadline) = deadline else {
         return Ok(None);
-    }
+    };
     if got < HEADER_BYTES {
         return Err(WireError::Truncated {
             expected: HEADER_BYTES,
@@ -262,13 +279,14 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<Option<u32>, WireError> {
             want: PROTOCOL_VERSION,
         });
     }
-    Ok(Some(len))
+    Ok(Some((len, deadline)))
 }
 
-/// Read the `len`-byte payload that follows a [`read_header`].
-pub fn read_payload<R: Read>(r: &mut R, len: u32) -> Result<Vec<u8>, WireError> {
+/// Read the `len`-byte payload that follows a [`read_header`], by the
+/// frame's `deadline`.
+pub fn read_payload<R: Read>(r: &mut R, len: u32, deadline: Instant) -> Result<Vec<u8>, WireError> {
     let mut payload = vec![0u8; len.min(MAX_PAYLOAD_BYTES) as usize];
-    let got = read_full(r, &mut payload)?;
+    let got = read_full(r, &mut payload, &mut Some(deadline))?;
     if got < payload.len() {
         return Err(WireError::Truncated {
             expected: payload.len(),

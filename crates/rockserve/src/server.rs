@@ -29,14 +29,16 @@
 //! acceptor sheds a connection while `max_conns` are open, a frame is skipped
 //! unread while [`FRAME_BUDGET_BYTES`] of payload are in flight, and a memo
 //! miss is shed while `max_inflight_suggests` Suggests are forwarded to its
-//! shard. An idle client costs only its own parked thread.
+//! shard. An idle client costs only its own parked thread; one that stalls
+//! mid-frame is closed at [`proto::FRAME_DEADLINE`], which returns the
+//! frame's budget.
 //!
 //! ## Shutdown ordering
 //!
 //! A `Shutdown` frame (or [`Server::shutdown`] / dropping the handle) flips
 //! the drain flag and wakes the acceptor with a throwaway connect. The
 //! acceptor stops accepting and returns once every connection thread has
-//! finished its current frame and exited. Only then is the inner
+//! finished its current frame, or given up on it at its deadline, and exited. Only then is the inner
 //! `AutotuneService` shut down, handing each [`AutotuneBackend`] back, and
 //! each shard's WAL flushed.
 
@@ -400,15 +402,15 @@ fn error_response(e: &WireError) -> Response {
 /// Serve one connection until it closes, errors, or the server drains. The
 /// short read timeout is an idle poll: a connection sitting between frames
 /// re-checks the drain flag every [`IDLE_POLL`]; a frame already arriving is
-/// always read to completion (see `proto::read_full`).
+/// read to completion unless it misses its [`proto::FRAME_DEADLINE`].
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_nodelay(true);
     loop {
         match proto::read_header(&mut stream) {
             Ok(None) => break,
-            Ok(Some(len)) => {
-                if !serve_frame(shared, &mut stream, len) {
+            Ok(Some((len, deadline))) => {
+                if !serve_frame(shared, &mut stream, len, deadline) {
                     break;
                 }
             }
@@ -431,9 +433,10 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 }
 
 /// Read, decode, dispatch and answer the frame whose header announced `len`
-/// payload bytes, holding that many bytes of [`FRAME_BUDGET_BYTES`] until
-/// the reply is ready. Returns whether the connection stays open.
-fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, len: u32) -> bool {
+/// payload bytes, due by `deadline`, holding that many bytes of
+/// [`FRAME_BUDGET_BYTES`] until the reply is ready. Returns whether the
+/// connection stays open.
+fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, len: u32, deadline: Instant) -> bool {
     let budget = match reserve(&shared.frame_bytes, u64::from(len), FRAME_BUDGET_BYTES) {
         Ok(budget) => budget,
         Err(held) => {
@@ -449,7 +452,7 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, len: u32) -> bool {
             return skipped.is_ok_and(|n| n == u64::from(len)) && send_response(stream, &shed);
         }
     };
-    let payload = match proto::read_payload(stream, len) {
+    let payload = match proto::read_payload(stream, len, deadline) {
         Ok(payload) => payload,
         Err(e) => {
             reply_wire_error(shared, stream, &e);

@@ -17,7 +17,9 @@
 //!    an `Error` reply within 2 s, and the server keeps serving.
 //! 7. **Frame budget** — many maximal frames at once are decoded only as
 //!    far as `FRAME_BUDGET_BYTES` allows; the rest are skipped and answered
-//!    `Overloaded`, and their connections keep working.
+//!    `Overloaded`, and their connections keep working. Senders that stall
+//!    mid-frame are closed at `FRAME_DEADLINE`, which gives their share of
+//!    the budget back and bounds how long they can hold up a drain.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 use optimizers::env::{Environment, QueryEnv};
 use optimizers::tuner::TuningContext;
 use pipeline::{AutotuneBackend, Provenance, Storage};
-use rockserve::proto::{self, codes, Request, Response, MAX_PAYLOAD_BYTES};
+use rockserve::proto::{self, codes, Request, Response, FRAME_DEADLINE, MAX_PAYLOAD_BYTES};
 use rockserve::server::FRAME_BUDGET_BYTES;
 use rockserve::{ServeClient, ServeConfig, Server, WireError, PROTOCOL_VERSION};
 use sparksim::noise::NoiseSpec;
@@ -570,19 +572,13 @@ fn maximal_frames_past_the_frame_budget_are_shed_with_overloaded() {
     }
 
     // Connections that announce a maximal frame, send one byte of it and
-    // stall hold its share of the budget until they close. One arriving
-    // while a probe holds the budget is shed instead, so add them until a
-    // probe finds the budget full.
+    // stall hold its share of the budget until they close or their frame
+    // deadline passes. One arriving while a probe holds the budget is shed
+    // instead, so add them until a probe finds the budget full.
     let mut stalled = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let mut s = TcpStream::connect(addr).expect("connects");
-        s.write_all(&MAX_PAYLOAD_BYTES.to_le_bytes())
-            .expect("writes");
-        s.write_all(&PROTOCOL_VERSION.to_le_bytes())
-            .expect("writes");
-        s.write_all(b"[").expect("writes");
-        stalled.push(s);
+        stalled.push(stall_mid_payload(addr));
         if !is_malformed(&send_frame(addr, &payload).0) {
             break;
         }
@@ -620,4 +616,80 @@ fn maximal_frames_past_the_frame_budget_are_shed_with_overloaded() {
         Ok(Response::Healthy { .. })
     ));
     assert!(server.shutdown().iter().all(Option::is_some));
+}
+
+/// A connection that announces a maximal frame, sends one byte of its
+/// payload and stalls.
+fn stall_mid_payload(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).expect("connects");
+    s.write_all(&MAX_PAYLOAD_BYTES.to_le_bytes())
+        .expect("writes");
+    s.write_all(&PROTOCOL_VERSION.to_le_bytes())
+        .expect("writes");
+    s.write_all(b"[").expect("writes");
+    s
+}
+
+/// Four stalled senders that together hold the whole frame budget, and when
+/// they connected.
+fn fill_budget_with_stalled_senders(addr: SocketAddr) -> (Vec<TcpStream>, Instant) {
+    let health = proto::encode_request(&Request::Health).expect("encodes");
+    let full = Response::Overloaded {
+        inflight: FRAME_BUDGET_BYTES,
+        capacity: FRAME_BUDGET_BYTES,
+    };
+    for _ in 0..10 {
+        let started = Instant::now();
+        let stalled: Vec<TcpStream> = (0..4).map(|_| stall_mid_payload(addr)).collect();
+        // Once the server has read all four headers, even a Health frame
+        // finds the budget full.
+        while started.elapsed() < FRAME_DEADLINE / 4 {
+            if send_frame(addr, &health).0 == full {
+                return (stalled, started);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // A header read while a probe held budget was shed; start over.
+    }
+    panic!("the stalled senders never filled the budget");
+}
+
+#[test]
+fn stalled_senders_are_closed_at_the_frame_deadline_and_release_the_budget() {
+    let server = spawn_server(ServeConfig::default());
+    let addr = server.local_addr();
+    let payload = max_size_array();
+    let slack = Duration::from_secs(1);
+
+    let (stalled, started) = fill_budget_with_stalled_senders(addr);
+    // Each stalled sender gets a truncated-frame error, then EOF.
+    for mut s in stalled {
+        s.set_read_timeout(Some(FRAME_DEADLINE + slack))
+            .expect("timeout set");
+        let reply = proto::read_frame(&mut s)
+            .expect("reply reads")
+            .expect("reply present");
+        assert!(
+            matches!(proto::decode_response(&reply), Ok(Response::Error { code, .. }) if code == codes::TRUNCATED_FRAME)
+        );
+        assert!(matches!(proto::read_frame(&mut s), Ok(None)), "left open");
+    }
+    let took = started.elapsed();
+    assert!(
+        took >= FRAME_DEADLINE && took < FRAME_DEADLINE + slack,
+        "stalled senders closed after {took:?}"
+    );
+    // Their budget came back: a maximal frame is decoded, not shed.
+    assert!(is_malformed(&send_frame(addr, &payload).0));
+
+    // A drain waits for stalled frames only until their deadline.
+    let (stalled, _) = fill_budget_with_stalled_senders(addr);
+    let draining = Instant::now();
+    assert!(server.shutdown().iter().all(Option::is_some));
+    let took = draining.elapsed();
+    assert!(
+        took < FRAME_DEADLINE + slack,
+        "shutdown took {took:?} with stalled senders"
+    );
+    drop(stalled);
 }
