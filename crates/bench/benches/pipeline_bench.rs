@@ -1,12 +1,15 @@
 //! Pipeline throughput: event-log serialization, ETL extraction, storage put/get,
 //! tuner-state checkpointing and JSON rendering — the paths the backend exercises
-//! per application.
+//! per application — and the k-NN lookup behind every cold-start Suggest.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
 use pipeline::etl::extract_rows_from_jsonl;
 use pipeline::storage::Storage;
+use pipeline::{Corpus, CorpusEntry, KnnIndex};
 use sparksim::config::SparkConf;
 use sparksim::event::to_jsonl;
 use sparksim::noise::NoiseSpec;
@@ -97,5 +100,41 @@ fn bench_checkpoint(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_etl, bench_storage, bench_checkpoint);
+/// A seeded index over `n` signatures with 10-dim embeddings, the shape of
+/// the cold-start retrieval corpus.
+fn knn_index(n: u64) -> KnnIndex {
+    let mut rng = StdRng::seed_from_u64(n);
+    let mut corpus = Corpus::in_memory();
+    for signature in 0..n {
+        corpus
+            .upsert(CorpusEntry {
+                signature,
+                embedding: (0..10).map(|_| rng.random_range(-1.0..1.0)).collect(),
+                best_point: vec![0.5; 8],
+                observations: 4,
+                best_elapsed_ms: 100.0,
+                mean_elapsed_ms: 120.0,
+                data_size: 1.0,
+            })
+            .unwrap();
+    }
+    KnnIndex::build(&corpus)
+}
+
+fn bench_knn(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let query: Vec<f64> = (0..10).map(|_| rng.random_range(-1.0..1.0)).collect();
+    for (name, n) in [("knn_query_1k", 1_000), ("knn_query_10k", 10_000)] {
+        let index = knn_index(n);
+        c.bench_function(name, |b| b.iter(|| index.query(black_box(&query), 3)));
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_etl,
+    bench_storage,
+    bench_checkpoint,
+    bench_knn
+);
 criterion_main!(benches);

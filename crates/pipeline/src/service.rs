@@ -6,7 +6,7 @@
 //! — the reproduction of the client/backend split — with [`AutotuneClient`] as the
 //! cluster-side handle (the model loader / query listener pair).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ const INGEST_MAX_ATTEMPTS: u32 = 4;
 /// `degrade_after` consecutive failed runs the backend stops tuning the
 /// signature and serves the default configuration, probing the tuner again
 /// every `probe_period`-th suggestion until a run completes.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct DegradedState {
     degraded: bool,
     suggests_while_degraded: u32,
@@ -78,7 +78,7 @@ pub struct AutotuneBackend {
     /// capacity, with evictions spilled to durable sidecars when attached.
     tuners: LruMap<(String, u64), RockhopperTuner>,
     /// Latest embedding seen per signature (context for app-cache scoring).
-    embeddings: HashMap<u64, Vec<f64>>,
+    embeddings: BTreeMap<u64, Vec<f64>>,
     app_cache: AppCache,
     app_optimizer: AppLevelOptimizer,
     /// The §6.3 monitoring dashboard, fed by every ingested event file.
@@ -86,7 +86,7 @@ pub struct AutotuneBackend {
     /// Guardrail policy applied to newly created tuners.
     guardrail_policy: Option<rockhopper::Guardrail>,
     /// Per-(user, signature) failure streaks and degraded-mode flags.
-    degraded: HashMap<(String, u64), DegradedState>,
+    degraded: BTreeMap<(String, u64), DegradedState>,
     /// Consecutive failed runs that flip a signature into degraded mode.
     degrade_after: u32,
     /// In degraded mode, every `probe_period`-th suggestion probes the tuner.
@@ -120,12 +120,12 @@ impl AutotuneBackend {
             space: ConfigSpace::query_level(),
             baseline,
             tuners: LruMap::new(MAX_TRACKED_TUNERS),
-            embeddings: HashMap::new(),
+            embeddings: BTreeMap::new(),
             app_cache: AppCache::new(),
             app_optimizer: AppLevelOptimizer::default(),
             dashboard: Dashboard::new(),
             guardrail_policy: Some(rockhopper::Guardrail::default()),
-            degraded: HashMap::new(),
+            degraded: BTreeMap::new(),
             degrade_after: 3,
             probe_period: 4,
             ingest_retries: 0,
@@ -295,19 +295,11 @@ impl AutotuneBackend {
         if self.embeddings.len() >= MAX_TRACKED_EMBEDDINGS
             && !self.embeddings.contains_key(&signature)
         {
-            if let Some(evict) = self.embeddings.keys().min().copied() {
-                self.embeddings.remove(&evict);
-            }
+            self.embeddings.pop_first();
         }
         self.embeddings.insert(signature, ctx.embedding.clone());
-        let key = (user.to_string(), signature);
-        if self.degraded.len() >= MAX_TRACKED_DEGRADED && !self.degraded.contains_key(&key) {
-            if let Some(evict) = self.degraded.keys().min().cloned() {
-                self.degraded.remove(&evict);
-            }
-        }
         let probe_period = self.probe_period;
-        let state = self.degraded.entry(key).or_default();
+        let state = self.degraded_state(user, signature);
         if state.degraded {
             state.suggests_while_degraded += 1;
             if state.suggests_while_degraded % probe_period != 0 {
@@ -527,10 +519,7 @@ impl AutotuneBackend {
             let point = row.point_in(&space);
             let tuner = self.tuner_for(user, row.signature);
             tuner.observe(&point, &Outcome::measured(row.elapsed_ms, row.data_size));
-            let state = self
-                .degraded
-                .entry((user.to_string(), row.signature))
-                .or_default();
+            let state = self.degraded_state(user, row.signature);
             // A completed run on a *tuned* configuration (a probe, or normal
             // operation) proves tuning viable again; a completed run on the
             // default config only proves the default works and stays degraded.
@@ -567,14 +556,22 @@ impl AutotuneBackend {
             // observation resets it, a censored one extends it.
             let streak = tuner.history.trailing_censored();
             let degrade_after = self.degrade_after;
-            let state = self
-                .degraded
-                .entry((user.to_string(), fail.signature))
-                .or_default();
+            let state = self.degraded_state(user, fail.signature);
             if streak >= degrade_after as usize {
                 state.degraded = true;
             }
         }
+    }
+
+    /// The degraded-mode state of `(user, signature)`, created on first
+    /// touch. At [`MAX_TRACKED_DEGRADED`] a new key first evicts the
+    /// smallest one, so the live map never outgrows what a snapshot keeps.
+    fn degraded_state(&mut self, user: &str, signature: u64) -> &mut DegradedState {
+        let key = (user.to_string(), signature);
+        if self.degraded.len() >= MAX_TRACKED_DEGRADED && !self.degraded.contains_key(&key) {
+            self.degraded.pop_first();
+        }
+        self.degraded.entry(key).or_default()
     }
 
     /// Whether the guardrail has disabled a signature.
@@ -1163,7 +1160,7 @@ impl AutotuneBackend {
             })
             .collect();
         tuners.sort_by(|a, b| (&a.user, a.signature).cmp(&(&b.user, b.signature)));
-        let mut embeddings: Vec<EmbeddingEntry> = self
+        let embeddings: Vec<EmbeddingEntry> = self
             .embeddings
             .iter()
             .map(|(sig, e)| EmbeddingEntry {
@@ -1171,8 +1168,7 @@ impl AutotuneBackend {
                 embedding: e.clone(),
             })
             .collect();
-        embeddings.sort_by_key(|e| e.signature);
-        let mut degraded: Vec<DegradedEntry> = self
+        let degraded: Vec<DegradedEntry> = self
             .degraded
             .iter()
             .map(|((user, sig), s)| DegradedEntry {
@@ -1182,7 +1178,6 @@ impl AutotuneBackend {
                 suggests_while_degraded: s.suggests_while_degraded,
             })
             .collect();
-        degraded.sort_by(|a, b| (&a.user, a.signature).cmp(&(&b.user, b.signature)));
         BackendSnapshot {
             seed: self.seed,
             shard_id: self.shard_id,
@@ -1948,6 +1943,35 @@ mod tests {
             b.is_degraded("u", sig),
             "default success must not re-enable"
         );
+    }
+
+    #[test]
+    fn ingest_caps_the_degraded_map_and_a_snapshot_restores_it() {
+        // One failure degrades a signature, so every tracked key is degraded
+        // and a key the snapshot lost would be served tuned points again.
+        let mut b = backend().with_degraded_policy(1, 4);
+        let failed = (0..=MAX_TRACKED_DEGRADED as u64)
+            .map(|signature| crate::etl::FailedRun {
+                app_id: format!("app-{signature}"),
+                signature,
+                embedding: vec![0.5],
+                conf: SparkConf::default(),
+            })
+            .collect();
+        b.ingest_batch(
+            "u",
+            EtlBatch {
+                rows: vec![],
+                failed,
+                quarantined_lines: 0,
+            },
+        );
+        assert_eq!(b.degraded.len(), MAX_TRACKED_DEGRADED);
+        assert!(!b.is_degraded("u", 0), "the smallest key is evicted");
+        assert!(b.is_degraded("u", MAX_TRACKED_DEGRADED as u64));
+        let mut restored = backend();
+        restored.apply_snapshot(b.snapshot_state());
+        assert_eq!(restored.degraded, b.degraded);
     }
 
     #[test]

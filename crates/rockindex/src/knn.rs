@@ -1,12 +1,13 @@
 //! Deterministic exact-scan k-NN over L2-normalized corpus embeddings.
 //!
 //! The determinism contract (DESIGN.md §12): ranking is a pure function of
-//! `(corpus, query)`. Rows are held in ascending signature order (the
-//! corpus `BTreeMap` order), similarities compare with `f64::total_cmp`,
-//! and exact ties break to the **smaller signature** — no seed, no hash
-//! order, no wall clock anywhere. The same corpus therefore ranks the same
-//! neighbors on every shard, at every thread count, before and after a
-//! kill-and-recover of the corpus lineage.
+//! `(corpus, query)`. A query scans every row once and keeps only its top
+//! `k` — it never sorts the corpus. Similarities compare with
+//! `f64::total_cmp`, and an exact tie keeps the earlier row; rows are held
+//! in ascending signature order (the corpus `BTreeMap` order), so ties break
+//! to the **smaller signature** — no seed, no hash order, no wall clock.
+//! The same corpus therefore ranks the same neighbors on every shard, at
+//! every thread count, before and after a kill-and-recover of its lineage.
 
 use crate::corpus::Corpus;
 
@@ -49,8 +50,9 @@ pub struct KnnIndex {
 
 impl KnnIndex {
     /// Build the index: one row per corpus entry, in ascending signature
-    /// order. Entries whose embedding has no direction (zero norm) cannot
-    /// be ranked by cosine similarity and are skipped.
+    /// order, which [`KnnIndex::query`]'s tie-break relies on. Entries whose
+    /// embedding has no direction (zero norm) cannot be ranked by cosine
+    /// similarity and are skipped.
     pub fn build(corpus: &Corpus) -> KnnIndex {
         let mut rows = Vec::new();
         for entry in corpus.entries() {
@@ -86,32 +88,27 @@ impl KnnIndex {
         let Some(unit) = normalize(embedding) else {
             return Vec::new();
         };
-        let mut ranked: Vec<(f64, usize)> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, row)| (dot(&row.unit, &unit), i))
-            .collect();
-        ranked.sort_by(|(sim_a, ia), (sim_b, ib)| {
-            sim_b.total_cmp(sim_a).then_with(|| {
-                let sig_a = self.rows.get(*ia).map_or(u64::MAX, |r| r.signature);
-                let sig_b = self.rows.get(*ib).map_or(u64::MAX, |r| r.signature);
-                sig_a.cmp(&sig_b)
-            })
-        });
-        ranked
-            .into_iter()
-            .take(k)
-            .filter_map(|(similarity, i)| {
-                self.rows.get(i).map(|row| Neighbor {
-                    signature: row.signature,
-                    similarity,
-                    best_point: row.best_point.clone(),
-                    observations: row.observations,
-                    best_elapsed_ms: row.best_elapsed_ms,
-                    mean_elapsed_ms: row.mean_elapsed_ms,
-                    data_size: row.data_size,
-                })
+        let mut top: Vec<(f64, &Row)> = Vec::with_capacity(k.min(self.rows.len()));
+        for row in &self.rows {
+            let similarity = dot(&row.unit, &unit);
+            let beats_worst = top
+                .last()
+                .is_some_and(|(w, _)| similarity.total_cmp(w).is_gt());
+            if top.len() < k || beats_worst {
+                let at = top.partition_point(|(s, _)| s.total_cmp(&similarity).is_ge());
+                top.insert(at, (similarity, row));
+                top.truncate(k);
+            }
+        }
+        top.into_iter()
+            .map(|(similarity, row)| Neighbor {
+                signature: row.signature,
+                similarity,
+                best_point: row.best_point.clone(),
+                observations: row.observations,
+                best_elapsed_ms: row.best_elapsed_ms,
+                mean_elapsed_ms: row.mean_elapsed_ms,
+                data_size: row.data_size,
             })
             .collect()
     }
@@ -181,6 +178,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::corpus::CorpusEntry;
+    use proptest::prelude::*;
 
     fn corpus_of(entries: &[(u64, Vec<f64>)]) -> Corpus {
         let mut corpus = Corpus::in_memory();
@@ -198,6 +196,87 @@ mod tests {
                 .expect("in-memory upsert");
         }
         corpus
+    }
+
+    /// The reference ranking: score every row, sort the whole corpus by
+    /// descending similarity then ascending signature, and keep `k`.
+    fn reference_query(index: &KnnIndex, embedding: &[f64], k: usize) -> Vec<Neighbor> {
+        let Some(unit) = normalize(embedding) else {
+            return Vec::new();
+        };
+        let mut ranked: Vec<(f64, &Row)> = index
+            .rows
+            .iter()
+            .map(|row| (dot(&row.unit, &unit), row))
+            .collect();
+        ranked.sort_by(|(sim_a, a), (sim_b, b)| {
+            sim_b
+                .total_cmp(sim_a)
+                .then_with(|| a.signature.cmp(&b.signature))
+        });
+        ranked
+            .into_iter()
+            .take(k)
+            .map(|(similarity, row)| Neighbor {
+                signature: row.signature,
+                similarity,
+                best_point: row.best_point.clone(),
+                observations: row.observations,
+                best_elapsed_ms: row.best_elapsed_ms,
+                mean_elapsed_ms: row.mean_elapsed_ms,
+                data_size: row.data_size,
+            })
+            .collect()
+    }
+
+    /// Every field of a neighbor, floats as bits, so `-0.0` and `0.0` differ.
+    fn bits(n: &Neighbor) -> (u64, u64, Vec<u64>, u64, u64, u64, u64) {
+        (
+            n.signature,
+            n.similarity.to_bits(),
+            n.best_point.iter().map(|x| x.to_bits()).collect(),
+            n.observations,
+            n.best_elapsed_ms.to_bits(),
+            n.mean_elapsed_ms.to_bits(),
+            n.data_size.to_bits(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The streaming top-k ranks exactly what the full sort ranks, bit
+        /// for bit. Embeddings have 1–4 dims (`dot` uses the shared prefix);
+        /// `coarse` rounds them to {-2, …, 2}, so duplicate embeddings,
+        /// exact ties and zero-norm rows and queries are common.
+        #[test]
+        fn query_matches_the_reference_ranking(
+            coarse: bool,
+            rows in prop::collection::vec(
+                (0..64u64, prop::collection::vec(-2.0..2.0f64, 1..5)),
+                0..40,
+            ),
+            queries in prop::collection::vec(prop::collection::vec(-2.0..2.0f64, 1..5), 1..4),
+        ) {
+            let quantise = |v: &Vec<f64>| -> Vec<f64> {
+                if coarse { v.iter().map(|x| x.round()).collect() } else { v.clone() }
+            };
+            let entries: Vec<(u64, Vec<f64>)> =
+                rows.iter().map(|(sig, e)| (*sig, quantise(e))).collect();
+            let index = KnnIndex::build(&corpus_of(&entries));
+            let n = index.len();
+            let mut queries: Vec<Vec<f64>> = queries.iter().map(quantise).collect();
+            queries.push(vec![0.0; 3]);
+            queries.extend(entries.first().map(|(_, e)| e.clone()));
+            for query in &queries {
+                for k in [0, 1, 3, n, n + 1, usize::MAX] {
+                    let got: Vec<_> = index.query(query, k).iter().map(bits).collect();
+                    let want: Vec<_> =
+                        reference_query(&index, query, k).iter().map(bits).collect();
+                    prop_assert_eq!(got, want, "k = {}, query = {:?}", k, query);
+                }
+            }
+        }
     }
 
     #[test]

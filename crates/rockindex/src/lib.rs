@@ -16,10 +16,12 @@
 //!   own rockdur WAL/snapshot lineage so it survives restarts and rebuilds
 //!   bit-identically.
 //! * [`knn`] — a deterministic exact-scan k-NN index over L2-normalized
-//!   corpus embeddings. Ties break seed-free: descending cosine similarity
-//!   (`f64::total_cmp`), then ascending signature. No RNG, no wall clock,
-//!   no hash-ordered iteration — the same corpus and query always rank the
-//!   same neighbors, on any shard, at any thread count.
+//!   corpus embeddings. A query scans the rows once and keeps its top `k`
+//!   without sorting the corpus: descending cosine similarity
+//!   (`f64::total_cmp`), ties to the smaller signature because rows are in
+//!   ascending signature order. No RNG, no wall clock, no hash-ordered
+//!   iteration — the same corpus and query always rank the same neighbors,
+//!   on any shard, at any thread count.
 //!
 //! [`Provenance`] tags every served suggestion as `transferred` (corpus hit,
 //! zero-execution) or `explored` (normal tuner draw) on the wire protocol
