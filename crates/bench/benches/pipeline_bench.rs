@@ -1,6 +1,7 @@
 //! Pipeline throughput: event-log serialization, ETL extraction, storage put/get,
 //! tuner-state checkpointing and JSON rendering — the paths the backend exercises
-//! per application — and the k-NN lookup behind every cold-start Suggest.
+//! per application — the k-NN lookup behind every cold-start Suggest, and the
+//! rockserve wire codec for Suggest and Report frames.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -130,11 +131,65 @@ fn bench_knn(c: &mut Criterion) {
     }
 }
 
+fn bench_wire(c: &mut Criterion) {
+    use optimizers::env::{Environment, QueryEnv};
+    use rockserve::proto::{decode_request, encode_request, encode_response, Request, Response};
+
+    let suggest = Request::Suggest {
+        user: "tenant".into(),
+        signature: 42,
+        embedding: (0..10).map(|i| f64::from(i) * 0.1 - 0.35).collect(),
+        expected_data_size: 1.5e9,
+        iteration: 3,
+    };
+    let suggestion = Response::Suggestion {
+        point: vec![0.3125, 0.6640625, 0.90234375],
+        fallback: None,
+        provenance: Some("explored".into()),
+    };
+    // A ~2.8 KB event log: one simulated TPC-H Q21 run.
+    let env = QueryEnv::tpch(21, 0.1, NoiseSpec::none(), 1);
+    let ctx = env.context();
+    let conf = env
+        .space()
+        .to_conf(&env.space().denormalize(&[0.5, 0.5, 0.5]));
+    let run = env.sim.execute(&env.plan, &conf, 0);
+    let events = env.sim.events_for_run(
+        "app-0",
+        "artifact",
+        42,
+        &env.plan,
+        &conf,
+        ctx.embedding,
+        &run,
+    );
+    let report = Request::Report {
+        user: "tenant".into(),
+        app_id: "app-0".into(),
+        jsonl: to_jsonl(&events),
+    };
+    let suggest_bytes = encode_request(&suggest).unwrap();
+    let report_bytes = encode_request(&report).unwrap();
+    c.bench_function("wire_encode_suggestion", |b| {
+        b.iter(|| encode_response(black_box(&suggestion)).unwrap())
+    });
+    c.bench_function("wire_decode_suggest", |b| {
+        b.iter(|| decode_request(black_box(&suggest_bytes)).unwrap())
+    });
+    c.bench_function("wire_encode_report", |b| {
+        b.iter(|| encode_request(black_box(&report)).unwrap())
+    });
+    c.bench_function("wire_decode_report", |b| {
+        b.iter(|| decode_request(black_box(&report_bytes)).unwrap())
+    });
+}
+
 criterion_group!(
     benches,
     bench_etl,
     bench_storage,
     bench_checkpoint,
-    bench_knn
+    bench_knn,
+    bench_wire
 );
 criterion_main!(benches);

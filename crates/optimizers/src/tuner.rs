@@ -33,11 +33,12 @@ pub enum ObservationKind {
 // Manual impls so a missing/`null` field (checkpoints written before the
 // fault model existed) deserializes as `Measured` instead of erroring.
 impl Serialize for ObservationKind {
-    fn serialize_value(&self) -> serde::Value {
-        match self {
-            ObservationKind::Measured => serde::Value::Str("Measured".to_string()),
-            ObservationKind::Censored => serde::Value::Str("Censored".to_string()),
-        }
+    fn write_json(&self, out: &mut String) {
+        let name = match self {
+            ObservationKind::Measured => "Measured",
+            ObservationKind::Censored => "Censored",
+        };
+        name.write_json(out);
     }
 }
 

@@ -283,9 +283,14 @@ impl Durability {
     /// again — replay always starts at or after this snapshot — and are
     /// garbage-collected here, bounding sidecar files to one per evicted key
     /// plus the evictions since the last snapshot.
+    ///
+    /// The attempt, not its success, restarts the cadence: a failed write
+    /// (disk full, an I/O error) is retried `snapshot_every` records later,
+    /// not on every following record. The log is pruned only by a snapshot
+    /// that landed, so recovery still replays everything after it.
     pub(crate) fn write_snapshot(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let seq = self.wal.snapshot(payload)?;
         self.records_since_snapshot = 0;
+        let seq = self.wal.snapshot(payload)?;
         for (key, best_seq) in self.newest_sidecar_below(seq) {
             self.prune_sidecars_for_key(key, best_seq, seq);
         }

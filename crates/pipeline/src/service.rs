@@ -2272,6 +2272,71 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_snapshot_waits_a_full_cadence_before_retrying() {
+        let dir = StateDir::new("snapfail");
+        let mut durable = backend();
+        let mut reference = backend();
+        durable.persist_to_with(&dir.0, 5).expect("attach");
+        // A directory at each `.tmp` path makes every snapshot write fail.
+        let blockers: Vec<std::path::PathBuf> = (0..64u64)
+            .map(|seq| dir.0.join(format!("snap-{seq:016x}.snap.tmp")))
+            .collect();
+        for b in &blockers {
+            std::fs::create_dir(b).expect("blocker");
+        }
+        let due = |b: &AutotuneBackend| b.durability.as_ref().expect("attached").snapshot_due();
+        let writes = |b: &AutotuneBackend| b.dashboard().counters().snapshot_writes;
+        let ctx = QueryEnv::tpch(6, 0.1, NoiseSpec::none(), 7).context();
+        for sig in 0..5u64 {
+            durable.suggest("alice", sig, &ctx);
+            reference.suggest("alice", sig, &ctx);
+        }
+        assert!(due(&durable), "five records make a snapshot due");
+        durable.suggest("alice", 5, &ctx);
+        reference.suggest("alice", 5, &ctx);
+        assert!(!due(&durable), "the failed attempt restarts the cadence");
+        assert_eq!(writes(&durable), 1, "only the attach snapshot landed");
+
+        for b in &blockers {
+            std::fs::remove_dir(b).expect("unblock");
+        }
+        for sig in 6..10u64 {
+            durable.suggest("alice", sig, &ctx);
+            reference.suggest("alice", sig, &ctx);
+        }
+        assert_eq!(writes(&durable), 1, "no retry before a full cadence");
+        assert!(due(&durable));
+        durable.suggest("alice", 10, &ctx);
+        reference.suggest("alice", 10, &ctx);
+        assert_eq!(writes(&durable), 2, "the retry lands a cadence later");
+        let env = drive_rounds(&mut durable, 3);
+        drive_rounds(&mut reference, 3);
+        durable.flush_durability().expect("flush");
+        drop(durable);
+
+        let mut recovered = backend();
+        let report = recovered.recover_from_with(&dir.0, 5).expect("recover");
+        assert!(report.restored_snapshot);
+        assert_eq!(report.quarantined, 0);
+        let sig = env.signature();
+        let env_ctx = env.context();
+        for i in 0..4 {
+            assert_eq!(
+                recovered.suggest("alice", sig, &env_ctx),
+                reference.suggest("alice", sig, &env_ctx),
+                "post-recovery round {i} must be bit-identical"
+            );
+        }
+        for sig in 0..12u64 {
+            assert_eq!(
+                recovered.suggest("alice", sig, &ctx),
+                reference.suggest("alice", sig, &ctx),
+                "signature {sig}"
+            );
+        }
+    }
+
+    #[test]
     fn foreign_version_snapshot_recovers_empty_but_serving() {
         let dir = StateDir::new("foreign");
         let mut durable = backend();

@@ -239,7 +239,8 @@ impl Wal {
 
     /// Write a compacted snapshot of the caller's full state, rotate to a
     /// fresh segment, and prune everything the snapshot covers. Returns
-    /// the snapshot's sequence number (== `next_seq` at call time).
+    /// the snapshot's sequence number (== `next_seq` at call time). A write
+    /// that fails removes its partial `.tmp` file and prunes nothing.
     pub fn snapshot(&mut self, payload: &[u8]) -> io::Result<u64> {
         if to_u64(payload.len()) > MAX_SNAPSHOT_BYTES {
             return Err(io::Error::new(
@@ -248,23 +249,29 @@ impl Wal {
             ));
         }
         let seq = self.next_seq;
-        let mut bytes = Vec::with_capacity(SNAPSHOT_HEADER_BYTES + payload.len());
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&crc::crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(&seq.to_le_bytes());
-        bytes.extend_from_slice(&to_u64(payload.len()).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        let mut header = Vec::with_capacity(SNAPSHOT_HEADER_BYTES);
+        header.extend_from_slice(&SNAPSHOT_MAGIC);
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header.extend_from_slice(&crc::crc32(payload).to_le_bytes());
+        header.extend_from_slice(&seq.to_le_bytes());
+        header.extend_from_slice(&to_u64(payload.len()).to_le_bytes());
 
         let final_path = self.dir.join(snapshot_name(seq));
         let mut tmp_path = final_path.as_os_str().to_os_string();
         tmp_path.push(".tmp");
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
+        // Header and payload go out as two writes: the payload is never
+        // copied behind the header.
+        let written = File::create(&tmp_path)
+            .and_then(|mut f| {
+                f.write_all(&header)?;
+                f.write_all(payload)?;
+                f.sync_data()
+            })
+            .and_then(|()| fs::rename(&tmp_path, &final_path));
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp_path);
+            return Err(e);
         }
-        fs::rename(&tmp_path, &final_path)?;
         sync_dir(&self.dir);
 
         // The WAL must be durable before anything it covered disappears.

@@ -268,3 +268,31 @@ fn handle_counters_track_this_handle_not_the_directory() {
     wal.append(&[7u8; 16]).expect("append after reopen");
     assert_eq!(wal.records_written(), 1);
 }
+
+#[test]
+fn a_failed_snapshot_removes_its_tmp_and_prunes_nothing() {
+    let dir = StateDir::new("failed-snapshot");
+    let (mut wal, _) = Wal::open(dir.path()).expect("open");
+    for i in 0..3u8 {
+        wal.append(&[i; 8]).expect("append");
+    }
+    // A directory where the snapshot should land makes the final rename
+    // fail after the `.tmp` file was created and written.
+    let blocker = dir.path().join(format!("snap-{:016x}.snap", 3));
+    std::fs::create_dir_all(blocker.join("occupied")).expect("blocker");
+    assert!(wal.snapshot(&[1u8; 64]).is_err());
+    assert_eq!(wal.snapshots_written(), 0);
+    let tmp_files: Vec<String> = std::fs::read_dir(dir.path())
+        .expect("list")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert_eq!(tmp_files, Vec::<String>::new(), "the partial file is gone");
+    drop(wal);
+
+    std::fs::remove_dir_all(&blocker).expect("unblock");
+    let (_, rec) = Wal::open(dir.path()).expect("reopen");
+    assert!(rec.snapshot.is_none());
+    assert_eq!(rec.records.len(), 3, "the log behind it was not pruned");
+}

@@ -45,8 +45,8 @@ impl fmt::Display for Provenance {
 }
 
 impl Serialize for Provenance {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 
@@ -70,8 +70,9 @@ mod tests {
     #[test]
     fn wire_strings_round_trip() {
         for p in [Provenance::Transferred, Provenance::Explored] {
-            let encoded = p.serialize_value();
-            assert_eq!(Provenance::deserialize_value(&encoded), Ok(p));
+            let encoded = serde_json::to_string(&p).expect("encodes");
+            assert_eq!(encoded, format!("\"{}\"", p.as_str()));
+            assert_eq!(serde_json::from_str::<Provenance>(&encoded), Ok(p));
             assert_eq!(Provenance::from_wire(Some(p.as_str())), p);
         }
     }

@@ -1,16 +1,18 @@
 //! Property-based tests (proptest) over the core invariants of the workspace:
 //! config-space roundtrips, noise monotonicity, plan-estimate sanity, simulator
 //! determinism, signature stability, and the vendored JSON codec's round trip
-//! and limits.
+//! and limits (typed values encode to the same text the value tree renders).
+
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use proptest::prelude::*;
 
 use embedding::WorkloadEmbedder;
 use optimizers::space::ConfigSpace;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, RngExt, SeedableRng};
 use serde::text::{parse, render_compact};
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use sparksim::config::SparkConf;
 use sparksim::noise::NoiseSpec;
 use sparksim::plan::PlanNode;
@@ -143,6 +145,176 @@ proptest! {
         )]);
         let rendered = render_compact(&value);
         prop_assert_eq!(parse(&rendered).expect("rendered JSON parses"), value);
+    }
+}
+
+// Derived types of every shape the vendored derive supports, for the typed
+// encoder proptest below.
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Marker;
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Meters(f64);
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Span(i32, u64);
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Node {
+    Stop,
+    Weight(f32),
+    Range(i64, f64),
+    Branch {
+        label: String,
+        children: Vec<Node>,
+        tags: BTreeMap<u16, String>,
+    },
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "op")]
+enum Op {
+    Noop,
+    Move { by: Meters, to: Option<Span> },
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Doc {
+    marker: Marker,
+    ops: Vec<Op>,
+    root: Node,
+    boxed: Box<Node>,
+    index: HashMap<(u8, String), Vec<f64>>,
+    names: HashSet<String>,
+    queue: VecDeque<usize>,
+    letter: char,
+    maybe: Option<i16>,
+    flags: (bool, i8, u32),
+}
+
+/// Draws typed values; non-finite floats appear only when `finite` is off.
+struct Gen {
+    rng: StdRng,
+    finite: bool,
+}
+
+impl Gen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.rng.next_u64() % n
+    }
+
+    fn f64(&mut self) -> f64 {
+        const EDGES: [f64; 8] = [-0.0, 0.0, 5e-324, 2.2e-308, 1e300, f64::MAX, 0.1, 1.0];
+        let x = match self.below(4) {
+            0 => EDGES[self.below(EDGES.len() as u64) as usize],
+            1 => self.rng.random_range(-1e6..1e6),
+            _ => f64::from_bits(self.rng.next_u64()),
+        };
+        if self.finite && !x.is_finite() {
+            1.5
+        } else {
+            x
+        }
+    }
+
+    fn f32(&mut self) -> f32 {
+        let x = f32::from_bits(self.rng.next_u32());
+        if self.finite && !x.is_finite() {
+            -2.5
+        } else {
+            x
+        }
+    }
+
+    fn char(&mut self) -> char {
+        const SPECIAL: [char; 8] = [
+            '"', '\\', '/', '\n', '\u{0}', '\u{1f}', '\u{7f}', '\u{2028}',
+        ];
+        match self.below(3) {
+            0 => SPECIAL[self.below(SPECIAL.len() as u64) as usize],
+            1 => char::from_u32(self.below(0x80) as u32).unwrap_or('a'),
+            _ => char::from_u32(self.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    fn string(&mut self) -> String {
+        let n = self.below(6);
+        (0..n).map(|_| self.char()).collect()
+    }
+
+    fn node(&mut self, depth: u32) -> Node {
+        match self.below(if depth == 0 { 3 } else { 4 }) {
+            0 => Node::Stop,
+            1 => Node::Weight(self.f32()),
+            2 => Node::Range(self.rng.next_u64() as i64, self.f64()),
+            _ => Node::Branch {
+                label: self.string(),
+                children: (0..self.below(4)).map(|_| self.node(depth - 1)).collect(),
+                tags: (0..self.below(4))
+                    .map(|_| (self.below(2000) as u16, self.string()))
+                    .collect(),
+            },
+        }
+    }
+
+    fn doc(&mut self) -> Doc {
+        Doc {
+            marker: Marker,
+            ops: (0..self.below(4))
+                .map(|_| match self.below(3) {
+                    0 => Op::Noop,
+                    1 => Op::Move {
+                        by: Meters(self.f64()),
+                        to: None,
+                    },
+                    _ => Op::Move {
+                        by: Meters(self.f64()),
+                        to: Some(Span(self.rng.next_u32() as i32, self.rng.next_u64())),
+                    },
+                })
+                .collect(),
+            root: self.node(3),
+            boxed: Box::new(self.node(1)),
+            index: (0..self.below(5))
+                .map(|_| {
+                    let key = (self.below(12) as u8, self.string());
+                    (key, (0..self.below(3)).map(|_| self.f64()).collect())
+                })
+                .collect(),
+            names: (0..self.below(5)).map(|_| self.string()).collect(),
+            queue: (0..self.below(4))
+                .map(|_| self.rng.next_u64() as usize)
+                .collect(),
+            letter: self.char(),
+            maybe: self
+                .rng
+                .random_bool(0.5)
+                .then(|| self.rng.next_u32() as i16),
+            flags: (
+                self.rng.random(),
+                self.rng.next_u32() as i8,
+                self.rng.next_u32(),
+            ),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn typed_values_encode_as_the_value_tree_renders(seed: u64) {
+        for finite in [false, true] {
+            let doc = Gen { rng: StdRng::seed_from_u64(seed), finite }.doc();
+            let text = serde_json::to_string(&doc).expect("encodes");
+            let tree = parse(&text).expect("encoded text parses");
+            prop_assert_eq!(render_compact(&tree), text.clone());
+            if finite {
+                let back: Doc = serde_json::from_str(&text).expect("decodes");
+                prop_assert_eq!(back, doc);
+            }
+        }
     }
 }
 
